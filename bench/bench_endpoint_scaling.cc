@@ -4,8 +4,10 @@
 // messages to send", so its per-message scheduling work grows with the
 // number of endpoint slots even when only a handful are active. The
 // doorbell ring makes scheduling O(active): with 4 active senders the
-// per-message effort must stay flat from 4 to 4096 configured endpoints,
-// while the legacy full scan grows linearly.
+// per-message effort must stay flat from 4 to 4096 configured endpoints.
+// The comparison arm rings no doorbells, so every plan falls back to the
+// no-candidate sweep over all configured slots — the paper's full scan,
+// which grows linearly.
 //
 // Two deterministic readings per configuration, plus a wall-clock one:
 //   * endpoints_visited / message — the engine's own scan-effort counter;
@@ -14,11 +16,12 @@
 //     loop (the simulated latency cannot show the effect: the platform
 //     model charges a fixed send overhead regardless of table size).
 //
-// The doorbell arm disables the periodic backstop sweep: every release in
-// this harness rings its doorbell, so the periodic sweep would only add a
+// Both arms disable the periodic backstop sweep: in the doorbell arm every
+// release rings its doorbell, so the periodic sweep would only add a
 // configurable amortized n/interval term that is not the hint path under
 // test (lost-doorbell recovery has its own tests and model-checker
-// schedules).
+// schedules); in the no-doorbell arm the no-candidate sweep already runs
+// on every plan.
 // Sharded mode (--shards=N [--endpoints=M]): N shard planners over one
 // communication buffer, each on its own thread, driving disjoint endpoint
 // ranges against per-shard null wires. Reports aggregate msgs/s, per-shard
@@ -65,7 +68,8 @@ struct ArmResult {
 
 // One hand-wired sender node driving 4 active send endpoints out of
 // `configured` slots, messages draining into a fixed-size receiver node.
-ArmResult RunArm(std::uint32_t configured, bool doorbell) {
+// `ring_doorbells` = false leaves the planner only its no-candidate sweep.
+ArmResult RunArm(std::uint32_t configured, bool ring_doorbells) {
   ArmResult best;
 
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
@@ -89,8 +93,7 @@ ArmResult RunArm(std::uint32_t configured, bool doorbell) {
 
     engine::PlatformModel model;
     engine::EngineOptions options;
-    options.doorbell_scheduling = doorbell;
-    options.backstop_interval = doorbell ? 0 : 64;  // see header comment
+    options.backstop_interval = 0;  // see header comment
     engine::MessagingEngine tx_engine(**tx_comm, fabric.wire(0), options, &model);
     engine::MessagingEngine rx_engine(**rx_comm, fabric.wire(1), options, &model);
 
@@ -133,7 +136,7 @@ ArmResult RunArm(std::uint32_t configured, bool doorbell) {
         view.header->set_peer_address(dst);
         view.header->state.Store(waitfree::MsgState::kReady);
         (*tx_comm)->queue(senders[s]).Release(buffers[s]);
-        if (doorbell) {
+        if (ring_doorbells) {
           (*tx_comm)->doorbell_ring().Ring(senders[s]);
         }
       }
@@ -173,18 +176,18 @@ ArmResult RunArm(std::uint32_t configured, bool doorbell) {
 
 void Run(JsonReport& report) {
   PrintHeader("endpoint scaling: bench_endpoint_scaling",
-              "the engine's endpoint-scan cost model (doorbell ring vs full scan)",
+              "the engine's endpoint-scan cost model (doorbell ring vs no-doorbell sweep)",
               "O(active) scheduling: per-message effort flat in CONFIGURED endpoints");
 
   const std::uint32_t configs[] = {4, 16, 64, 256, 1024, 4096};
 
   TextTable table({"configured", "active", "doorbell ns/msg", "doorbell visits/msg",
-                   "legacy ns/msg", "legacy visits/msg"});
+                   "no-doorbell ns/msg", "no-doorbell visits/msg"});
   std::vector<ArmResult> doorbell_arm;
 
   for (const std::uint32_t n : configs) {
-    const ArmResult ring = RunArm(n, /*doorbell=*/true);
-    const ArmResult scan = RunArm(n, /*doorbell=*/false);
+    const ArmResult ring = RunArm(n, /*ring_doorbells=*/true);
+    const ArmResult scan = RunArm(n, /*ring_doorbells=*/false);
     doorbell_arm.push_back(ring);
 
     table.AddRow({std::to_string(n), std::to_string(kActiveSenders),
@@ -295,7 +298,6 @@ ShardArmResult RunShardArm(std::uint32_t shards, std::uint32_t endpoints) {
   for (std::uint32_t s = 0; s < shards; ++s) {
     wires.push_back(std::make_unique<NullWire>());
     engine::EngineOptions options;
-    options.doorbell_scheduling = true;
     options.backstop_interval = 0;  // see file header: doorbells never lost here
     options.shard_id = s;
     engines.push_back(std::make_unique<engine::MessagingEngine>(comm, *wires.back(), options));

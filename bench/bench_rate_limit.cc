@@ -4,10 +4,10 @@
 // time environment by adding real time prioritization and
 // capacity/bandwidth control functionality to the basic inter-node
 // transport." E10 covered prioritization; this bench covers capacity
-// control: a greedy background endpoint is throttled by the engine's
-// min-send-interval, bounding the bandwidth it can take from a critical
-// stream regardless of how much the (possibly untrusted) application
-// offers.
+// control: a greedy background endpoint is throttled by an engine-enforced
+// token bucket of capacity 1 (one send per refill interval), bounding the
+// bandwidth it can take from a critical stream regardless of how much the
+// (possibly untrusted) application offers.
 #include <cstdio>
 #include <functional>
 
@@ -40,11 +40,13 @@ Outcome RunScenario(std::uint32_t interval_ns) {
   Domain::EndpointOptions bg_options;
   bg_options.type = shm::EndpointType::kSend;
   bg_options.queue_depth = 16;
-  bg_options.min_send_interval_ns = interval_ns;
+  if (interval_ns != 0) {
+    bg_options.bucket_capacity = 1;  // a send interval: one token per refill
+    bg_options.bucket_refill_ns = interval_ns;
+  }
   auto bg_tx = a.CreateEndpoint(bg_options);
   auto bg_rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 64});
-  auto crit_tx =
-      a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 4, .priority = 9});
+  auto crit_tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 4});
   auto crit_rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 8});
   if (!bg_tx.ok() || !bg_rx.ok() || !crit_tx.ok() || !crit_rx.ok()) {
     std::abort();

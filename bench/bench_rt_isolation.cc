@@ -5,18 +5,19 @@
 // time for preventative maintenance, but must also ensure that the latter
 // message does not consume resources required to handle the former."
 // FLIPC's answer is structural: per-endpoint buffer resources separate the
-// classes, and the future-work priority extension makes the engine serve
-// high-priority send endpoints first.
+// classes, and the future-work prioritization (the planner's EDF order for
+// real-time endpoints) makes the engine serve the critical send first.
 //
 // Scenario: a sensor node emits a burst of background telemetry from eight
-// low-priority endpoints every 400 us, plus one critical message per burst
-// period from a high-priority endpoint, timed to land mid-burst. The
-// tracker node drains periodically. Three configurations:
+// endpoints every 400 us, plus one critical message per burst period from
+// its own endpoint, timed to land mid-burst. The tracker node drains
+// periodically. Three configurations:
 //   1. shared   — critical messages target the same receive endpoint (and
 //                 buffers) as the telemetry: bursts exhaust the buffers and
 //                 the optimistic transport discards critical messages;
 //   2. separate — own receive endpoint and buffers: zero critical drops;
-//   3. priority — separate + priority-scan engine: the critical send jumps
+//   3. real-time — separate + a deadline on the critical endpoint and
+//                 single-message transmit units: the critical send jumps
 //                 the sender-side backlog, cutting delivery latency (the
 //                 residual latency is inbound FIFO at the receiving
 //                 engine, which no sender-side policy can remove).
@@ -55,9 +56,16 @@ struct Outcome {
   std::uint64_t critical_lost() const { return critical_sent - critical_delivered; }
 };
 
-Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
+// The real-time critical endpoint's relative deadline (one burst period).
+constexpr std::uint32_t kCriticalDeadlineNs = kBurstPeriod;
+
+Outcome RunScenario(bool shared_endpoint, bool realtime_critical) {
   engine::EngineOptions engine_options;
-  engine_options.priority_scan = priority_scan;
+  // Single-message units let the critical send preempt between any two
+  // background sends instead of waiting out a coalesced batch.
+  if (realtime_critical) {
+    engine_options.transmit_batch = 1;
+  }
   SimCluster::Options cluster_options;
   cluster_options.node_count = 2;
   cluster_options.comm.message_size = 128;
@@ -73,11 +81,11 @@ Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
   Domain& tracker = cluster.domain(1);
   Outcome out;
 
-  // Background: eight low-priority send endpoints into one telemetry sink.
+  // Background: eight send endpoints into one telemetry sink.
   std::vector<Endpoint> bg_tx;
   for (std::uint32_t i = 0; i < kBgEndpoints; ++i) {
-    auto endpoint = sensor.CreateEndpoint(
-        {.type = shm::EndpointType::kSend, .queue_depth = 16, .priority = 1});
+    auto endpoint =
+        sensor.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 16});
     if (!endpoint.ok()) {
       std::abort();
     }
@@ -86,7 +94,9 @@ Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
   auto bg_rx =
       tracker.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 64});
   auto crit_tx = sensor.CreateEndpoint(
-      {.type = shm::EndpointType::kSend, .queue_depth = 4, .priority = 9});
+      {.type = shm::EndpointType::kSend,
+       .queue_depth = 4,
+       .deadline_ns = realtime_critical ? kCriticalDeadlineNs : 0});
   auto crit_rx = shared_endpoint
                      ? bg_rx
                      : tracker.CreateEndpoint(
@@ -214,7 +224,7 @@ struct QosOutcome {
 // bulk flood targets node 2 while the RT stream targets node 1, so the
 // contended resource is exactly the one the QoS planner manages — the
 // shared sending engine — and not the receiving engine's inbound FIFO
-// (which the legacy scenarios above already show no sender-side policy can
+// (which the scenarios above already show no sender-side policy can
 // remove). A short transmit batch keeps the planner's preemption points
 // frequent, so an RT arrival waits at most one small bulk assembly before
 // the deficit credits hand the engine to the RT class.
@@ -346,13 +356,14 @@ QosOutcome RunQosScenario(bool flood) {
 
 void Run(JsonReport& report) {
   PrintHeader("E10: bench_rt_isolation",
-              "Introduction (traffic classes) + Future Work (priority extension)",
+              "Introduction (traffic classes) + Future Work (real-time prioritization)",
               "separate endpoints isolate buffer resources from a telemetry flood; "
-              "the priority-scan engine serves the critical stream first");
+              "a real-time (EDF) critical endpoint is served first");
 
-  const Outcome shared = RunScenario(/*shared_endpoint=*/true, /*priority_scan=*/false);
-  const Outcome separate = RunScenario(/*shared_endpoint=*/false, /*priority_scan=*/false);
-  const Outcome priority = RunScenario(/*shared_endpoint=*/false, /*priority_scan=*/true);
+  const Outcome shared = RunScenario(/*shared_endpoint=*/true, /*realtime_critical=*/false);
+  const Outcome separate =
+      RunScenario(/*shared_endpoint=*/false, /*realtime_critical=*/false);
+  const Outcome realtime = RunScenario(/*shared_endpoint=*/false, /*realtime_critical=*/true);
 
   TextTable table({"configuration", "crit sent", "crit lost", "deliv latency us (mean/max)",
                    "bg delivered"});
@@ -369,9 +380,10 @@ void Run(JsonReport& report) {
   table.AddRow({"separate endpoints, round-robin", std::to_string(separate.critical_sent),
                 std::to_string(separate.critical_lost()), latency_cell(separate),
                 std::to_string(separate.background_delivered)});
-  table.AddRow({"separate endpoints, priority scan", std::to_string(priority.critical_sent),
-                std::to_string(priority.critical_lost()), latency_cell(priority),
-                std::to_string(priority.background_delivered)});
+  table.AddRow({"separate endpoints, real-time (EDF) critical",
+                std::to_string(realtime.critical_sent),
+                std::to_string(realtime.critical_lost()), latency_cell(realtime),
+                std::to_string(realtime.background_delivered)});
   std::printf("%s\n", table.ToString().c_str());
 
   std::printf("Shape checks:\n");
@@ -381,13 +393,14 @@ void Run(JsonReport& report) {
               static_cast<unsigned long long>(shared.critical_sent),
               shared.critical_lost() > 0 ? "[OK]" : "[MISMATCH]");
   std::printf("  - separate endpoints: zero critical losses %s\n",
-              (separate.critical_lost() == 0 && priority.critical_lost() == 0)
+              (separate.critical_lost() == 0 && realtime.critical_lost() == 0)
                   ? "[OK]" : "[MISMATCH]");
-  std::printf("  - priority scan cuts mean delivery latency %.2f -> %.2f us %s\n"
+  std::printf("  - real-time critical endpoint cuts mean delivery latency %.2f -> %.2f us "
+              "%s\n"
               "    (residual is inbound FIFO at the receiving engine)\n\n",
               separate.critical_latency_ns.mean() / 1000.0,
-              priority.critical_latency_ns.mean() / 1000.0,
-              priority.critical_latency_ns.mean() < separate.critical_latency_ns.mean()
+              realtime.critical_latency_ns.mean() / 1000.0,
+              realtime.critical_latency_ns.mean() < separate.critical_latency_ns.mean()
                   ? "[OK]" : "[MISMATCH]");
 
   // QoS planner: the RT class must ride through a saturating bulk flood.
@@ -437,7 +450,7 @@ void Run(JsonReport& report) {
   report.AddMetric("critical_latency_separate_mean",
                    separate.critical_latency_ns.mean() / 1000.0, "us");
   report.AddMetric("critical_latency_priority_mean",
-                   priority.critical_latency_ns.mean() / 1000.0, "us");
+                   realtime.critical_latency_ns.mean() / 1000.0, "us");
   report.AddMetric("qos_rt_latency_isolated_mean",
                    rt_alone.rt_latency_ns.mean() / 1000.0, "us");
   report.AddMetric("qos_rt_latency_flood_mean",

@@ -69,7 +69,6 @@ int main() {
                                             .group = routine_group->get()});
   auto threat_rx = tracker.CreateEndpoint({.type = flipc::shm::EndpointType::kReceive,
                                            .queue_depth = 8,
-                                           .priority = 9,
                                            .group = threat_group->get()});
   if (!routine_rx.ok() || !threat_rx.ok()) {
     return 1;

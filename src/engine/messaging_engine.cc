@@ -24,7 +24,6 @@ MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
       model_(model),
       semaphores_(semaphores),
       handoff_outboxes_(comm.shard_count(), nullptr),
-      next_send_ok_(comm.max_endpoints(), 0),
       seen_generation_(comm.max_endpoints(), 0),
       bucket_tokens_(comm.max_endpoints(), 0),
       bucket_refill_at_(comm.max_endpoints(), 0),
@@ -83,14 +82,8 @@ bool MessagingEngine::Throttled(std::uint32_t endpoint, const EndpointRecord& re
     // const paths (HasWork, NextUnthrottleTime) in between.
     return false;
   }
-  if (record.min_send_interval_ns.ReadRelaxed() != 0 && now < next_send_ok_[endpoint]) {
-    return true;
-  }
-  if (record.bucket_capacity.ReadRelaxed() != 0 &&
-      BucketTokensAt(endpoint, record, now) == 0) {
-    return true;
-  }
-  return false;
+  return record.bucket_capacity.ReadRelaxed() != 0 &&
+         BucketTokensAt(endpoint, record, now) == 0;
 }
 
 std::uint32_t MessagingEngine::BucketTokensAt(std::uint32_t endpoint,
@@ -109,6 +102,13 @@ void MessagingEngine::RefillBucket(std::uint32_t endpoint, const EndpointRecord&
                                    TimeNs now) {
   const std::uint32_t capacity = record.bucket_capacity.ReadRelaxed();
   const std::uint32_t refill = record.bucket_refill_ns.ReadRelaxed();
+  if (bucket_tokens_[endpoint] >= capacity) {
+    // Full: nothing accrues, so the token about to be spent returns one
+    // refill after this spend. An origin left at an earlier instant (the
+    // seed taken when the slot was first seen) would return it early.
+    bucket_refill_at_[endpoint] = now;
+    return;
+  }
   if (refill == 0 || now <= bucket_refill_at_[endpoint]) {
     return;  // refill == 0: hard burst cap, tokens never come back.
   }
@@ -135,11 +135,10 @@ void MessagingEngine::SyncSlotState(std::uint32_t endpoint) {
   if (generation == seen_generation_[endpoint]) {
     return;
   }
-  // Slot (re)allocated since last seen: the previous tenant's throttle
-  // deadline, bucket level and head-observation stamp must not leak into
-  // the new endpoint (the stale-next_send_ok_ churn bug).
+  // Slot (re)allocated since last seen: the previous tenant's bucket
+  // level and head-observation stamp must not leak into the new endpoint
+  // (the stale-throttle churn bug).
   seen_generation_[endpoint] = generation;
-  next_send_ok_[endpoint] = 0;
   bucket_tokens_[endpoint] = record.bucket_capacity.ReadRelaxed();  // Fresh bucket: full burst.
   bucket_refill_at_[endpoint] = NowForThrottle();
   head_seen_count_[endpoint] = kNoHeadSeen;
@@ -171,78 +170,17 @@ TimeNs MessagingEngine::NextUnthrottleTime() const {
     if (!Throttled(i, record, now)) {
       continue;
     }
-    // The endpoint becomes eligible when EVERY active gate has lapsed.
-    TimeNs ready_at = 0;
-    if (record.min_send_interval_ns.ReadRelaxed() != 0 && now < next_send_ok_[i]) {
-      ready_at = next_send_ok_[i];
+    // Throttled means the bucket is empty: eligible when the next token lands.
+    const std::uint32_t refill = record.bucket_refill_ns.ReadRelaxed();
+    if (refill == 0) {
+      continue;  // Tokens never refill: no future instant unthrottles it.
     }
-    if (record.bucket_capacity.ReadRelaxed() != 0 && BucketTokensAt(i, record, now) == 0) {
-      const std::uint32_t refill = record.bucket_refill_ns.ReadRelaxed();
-      if (refill == 0) {
-        continue;  // Tokens never refill: no future instant unthrottles it.
-      }
-      const TimeNs next_token = bucket_refill_at_[i] + refill;
-      if (next_token > ready_at) {
-        ready_at = next_token;
-      }
-    }
-    if (ready_at != 0 && ready_at < earliest) {
-      earliest = ready_at;
+    const TimeNs next_token = bucket_refill_at_[i] + refill;
+    if (next_token < earliest) {
+      earliest = next_token;
     }
   }
   return earliest;
-}
-
-std::uint32_t MessagingEngine::FindSendWork() {
-  FLIPC_HOT_PATH("MessagingEngine::FindSendWork");
-  // All scans cover only this shard's endpoint range; scan_cursor_ is
-  // relative to shard_first_.
-  const std::uint32_t n = shard_end_ - shard_first_;
-  planned_rotation_advance_ = true;
-
-  if (options_.priority_scan) {
-    // Priority extension: highest-priority endpoint with work wins; the
-    // round-robin cursor breaks ties so equal-priority streams share.
-    std::uint32_t best = shm::kInvalidEndpoint;
-    std::uint32_t best_priority = 0;
-    std::uint32_t first_ready = shm::kInvalidEndpoint;
-    const TimeNs now = NowForThrottle();
-    FLIPC_BOUNDED_BY(shard_end_ - shard_first_);
-    for (std::uint32_t off = 0; off < n; ++off) {
-      const std::uint32_t i = shard_first_ + (scan_cursor_ + off) % n;
-      ++stats_.endpoints_visited;
-      SyncSlotState(i);
-      if (!SendReady(i, now)) {
-        continue;
-      }
-      if (first_ready == shm::kInvalidEndpoint) {
-        first_ready = i;
-      }
-      const std::uint32_t priority = comm_.endpoint(i).priority.ReadRelaxed();
-      if (best == shm::kInvalidEndpoint || priority > best_priority) {
-        best = i;
-        best_priority = priority;
-      }
-    }
-    // The cursor advances only when the priority winner IS the cursor-order
-    // candidate. A preemption must leave the rotation point alone: resetting
-    // it past the winner would re-walk the same equal-priority prefix after
-    // every preemption and starve the endpoints behind it.
-    planned_rotation_advance_ = (best == first_ready);
-    return best;
-  }
-
-  const TimeNs now = NowForThrottle();
-  FLIPC_BOUNDED_BY(shard_end_ - shard_first_);
-  for (std::uint32_t off = 0; off < n; ++off) {
-    const std::uint32_t i = shard_first_ + (scan_cursor_ + off) % n;
-    ++stats_.endpoints_visited;
-    SyncSlotState(i);
-    if (SendReady(i, now)) {
-      return i;
-    }
-  }
-  return shm::kInvalidEndpoint;
 }
 
 void MessagingEngine::ActivateEndpoint(std::uint32_t endpoint) {
@@ -359,7 +297,7 @@ bool MessagingEngine::SelectBatchFromActive() {
   // class's share of transmissions converges to its weight fraction. A
   // single ready class is served as-is with credits untouched, which keeps
   // all-default configurations (every endpoint in class 0) exactly on the
-  // legacy rotation behavior.
+  // plain round-robin rotation.
   std::uint32_t serve_class = 0;
   const bool competing = ready_classes >= 2;
   std::int64_t ready_weight = 0;
@@ -600,45 +538,24 @@ DurationNs MessagingEngine::PlanStep() {
     }
   }
 
-  if (UseDoorbellScheduling()) {
-    PlanOutboundBatch();
-    if (!planned_batch_.empty()) {
-      planned_ = WorkKind::kOutbound;
-      planned_endpoint_ = planned_batch_.front();
-      DurationNs cost = 0;
-      if (m != nullptr) {
-        // The first message carries the full dispatch + send path (so a
-        // batch of one costs exactly what the legacy scan charged); each
-        // coalesced message adds only the per-message transmit share.
-        const DurationNs per_message_checks =
-            (options_.validity_checks ? m->validity_check_ns : 0) +
-            (options_.model_unpadded_layout ? m->engine_false_sharing_ns : 0);
-        cost = m->engine_dispatch_ns + m->send_overhead_ns + TransmitPlanCost() +
-               per_message_checks;
-        cost += static_cast<DurationNs>(planned_batch_.size() - 1) *
-                (m->send_batch_extra_ns + TransmitPlanCost() + per_message_checks);
-      }
-      planned_cost_ = cost;
-      return planned_cost_;
+  PlanOutboundBatch();
+  if (!planned_batch_.empty()) {
+    planned_ = WorkKind::kOutbound;
+    DurationNs cost = 0;
+    if (m != nullptr) {
+      // The first message carries the full dispatch + send path (a batch of
+      // one costs exactly the single-send path E1 calibrates); each
+      // coalesced message adds only the per-message transmit share.
+      const DurationNs per_message_checks =
+          (options_.validity_checks ? m->validity_check_ns : 0) +
+          (options_.model_unpadded_layout ? m->engine_false_sharing_ns : 0);
+      cost = m->engine_dispatch_ns + m->send_overhead_ns + TransmitPlanCost() +
+             per_message_checks;
+      cost += static_cast<DurationNs>(planned_batch_.size() - 1) *
+              (m->send_batch_extra_ns + TransmitPlanCost() + per_message_checks);
     }
-  } else {
-    const std::uint32_t send_endpoint = FindSendWork();
-    if (send_endpoint != shm::kInvalidEndpoint) {
-      planned_ = WorkKind::kOutbound;
-      planned_endpoint_ = send_endpoint;
-      DurationNs cost = 0;
-      if (m != nullptr) {
-        cost = m->engine_dispatch_ns + m->send_overhead_ns + TransmitPlanCost();
-        if (options_.validity_checks) {
-          cost += m->validity_check_ns;
-        }
-        if (options_.model_unpadded_layout) {
-          cost += m->engine_false_sharing_ns;
-        }
-      }
-      planned_cost_ = cost;
-      return planned_cost_;
-    }
+    planned_cost_ = cost;
+    return planned_cost_;
   }
 
   for (std::uint32_t id = 0; id < kMaxProtocols; ++id) {
@@ -765,20 +682,16 @@ void MessagingEngine::RecoverFromBuffer() {
   planned_packet_.reset();
   planned_batch_.clear();
   parked_packet_.reset();
-  planned_endpoint_ = shm::kInvalidEndpoint;
-  planned_rotation_advance_ = true;
-  scan_cursor_ = 0;
   while (!active_.empty()) {
     active_.pop_front();
   }
   std::fill(in_active_.begin(), in_active_.end(), 0);
 
-  // Engine-private QoS state dies with the engine: throttle deadlines,
-  // bucket levels and head stamps were measured on the dead engine's
-  // timeline. Zeroing seen_generation_ forces SyncSlotState to re-seed
-  // each slot on first touch (alloc_generation never takes the value 0).
+  // Engine-private QoS state dies with the engine: bucket levels and head
+  // stamps were measured on the dead engine's timeline. Zeroing
+  // seen_generation_ forces SyncSlotState to re-seed each slot on first
+  // touch (alloc_generation never takes the value 0).
   std::fill(seen_generation_.begin(), seen_generation_.end(), 0);
-  std::fill(next_send_ok_.begin(), next_send_ok_.end(), 0);
   std::fill(bucket_tokens_.begin(), bucket_tokens_.end(), 0);
   std::fill(bucket_refill_at_.begin(), bucket_refill_at_.end(), 0);
   std::fill(head_seen_count_.begin(), head_seen_count_.end(), kNoHeadSeen);
@@ -819,20 +732,18 @@ bool MessagingEngine::HasWork() const {
   if (is_distributor() && wire_.PendingCount() > 0) {
     return true;
   }
+  // O(active) early-true checks. A pending doorbell or overflow signal
+  // reports work even when stale — the next plan drains the ring (head
+  // always advances), so the DES cannot spin on a stale hint.
+  waitfree::DoorbellRingView ring =
+      const_cast<shm::CommBuffer&>(comm_).doorbell_ring(shard_id_);
+  if (ring.HasPending() || ring.OverflowPending()) {
+    return true;
+  }
   const TimeNs now = NowForThrottle();
-  if (UseDoorbellScheduling()) {
-    // O(active) early-true checks. A pending doorbell or overflow signal
-    // reports work even when stale — the next plan drains the ring (head
-    // always advances), so the DES cannot spin on a stale hint.
-    waitfree::DoorbellRingView ring =
-        const_cast<shm::CommBuffer&>(comm_).doorbell_ring(shard_id_);
-    if (ring.HasPending() || ring.OverflowPending()) {
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (SendReady(active_.at(i), now)) {
       return true;
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (SendReady(active_.at(i), now)) {
-        return true;
-      }
     }
   }
   // Full scan (of this shard's range) stays as the authoritative fallback:
@@ -867,41 +778,25 @@ bool MessagingEngine::ValidateSendBuffer(std::uint32_t endpoint_index, BufferInd
 
 void MessagingEngine::CommitOutbound(simnet::CostAccumulator& cost) {
   FLIPC_HOT_PATH("MessagingEngine::CommitOutbound");
-  if (UseDoorbellScheduling() && !planned_batch_.empty()) {
-    ++stats_.transmit_batches;
-    stats_.batched_messages += planned_batch_.size();
-    if (telemetry_ != nullptr) {
-      telemetry_->batch_size.Add(static_cast<double>(planned_batch_.size()));
-    }
-    for (const std::uint32_t endpoint_index : planned_batch_) {
-      CommitOutboundOne(endpoint_index, cost);
-      // Re-schedule the endpoint while it still holds processable work;
-      // otherwise clear its membership so the next doorbell re-activates
-      // it. (in_active_ covered the endpoint during the batch, deduping
-      // doorbells rung between plan and commit.)
-      if (comm_.endpoint(endpoint_index).Type() == EndpointType::kSend &&
-          comm_.queue(endpoint_index).ProcessableCount() > 0) {
-        active_.push_back(endpoint_index);
-      } else {
-        in_active_[endpoint_index] = 0;
-      }
-    }
-    planned_batch_.clear();
-    planned_endpoint_ = shm::kInvalidEndpoint;
-    return;
-  }
-
-  const std::uint32_t endpoint_index = planned_endpoint_;
-  planned_endpoint_ = shm::kInvalidEndpoint;
-  if (planned_rotation_advance_) {
-    // scan_cursor_ is relative to this shard's range.
-    scan_cursor_ = (endpoint_index - shard_first_ + 1) % (shard_end_ - shard_first_);
-  }
-  planned_rotation_advance_ = true;
+  ++stats_.transmit_batches;
+  stats_.batched_messages += planned_batch_.size();
   if (telemetry_ != nullptr) {
-    telemetry_->batch_size.Add(1.0);  // Legacy scan: one message per unit.
+    telemetry_->batch_size.Add(static_cast<double>(planned_batch_.size()));
   }
-  CommitOutboundOne(endpoint_index, cost);
+  for (const std::uint32_t endpoint_index : planned_batch_) {
+    CommitOutboundOne(endpoint_index, cost);
+    // Re-schedule the endpoint while it still holds processable work;
+    // otherwise clear its membership so the next doorbell re-activates
+    // it. (in_active_ covered the endpoint during the batch, deduping
+    // doorbells rung between plan and commit.)
+    if (comm_.endpoint(endpoint_index).Type() == EndpointType::kSend &&
+        comm_.queue(endpoint_index).ProcessableCount() > 0) {
+      active_.push_back(endpoint_index);
+    } else {
+      in_active_[endpoint_index] = 0;
+    }
+  }
+  planned_batch_.clear();
 }
 
 void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
@@ -914,11 +809,6 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   waitfree::BufferQueueView queue = comm_.queue(endpoint_index);
   if (queue.ProcessableCount() == 0) {
     return;  // Drained between plan and commit.
-  }
-  // Legacy scan path reaches here without a plan rotation; make sure the
-  // head wait is stamped before the telemetry below measures from it.
-  if (clock_ != nullptr) {
-    NoteHeadObserved(endpoint_index, clock_->NowNs());
   }
   shm::TelemetryBlock& telemetry = comm_.telemetry(endpoint_index);
   telemetry.NoteQueueDepth(queue.ProcessableCount());
@@ -969,13 +859,8 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     return;
   }
 
-  // Capacity-control extension: record the earliest next transmission.
-  const std::uint32_t interval = record.min_send_interval_ns.ReadRelaxed();
-  if (interval != 0 && clock_ != nullptr) {
-    next_send_ok_[endpoint_index] = clock_->NowNs() + interval;
-  }
-  // Token bucket: credit tokens accrued since the last refill, then pay one
-  // for this transmission (no rejection path remains below this point).
+  // Capacity control: credit tokens accrued since the last refill, then pay
+  // one for this transmission (no rejection path remains below this point).
   if (clock_ != nullptr && record.bucket_capacity.ReadRelaxed() != 0) {
     RefillBucket(endpoint_index, record, clock_->NowNs());
     if (bucket_tokens_[endpoint_index] > 0) {

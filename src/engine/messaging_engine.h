@@ -57,23 +57,11 @@ struct EngineOptions {
   // The paper measures them at +2 us per one-way message.
   bool validity_checks = false;
 
-  // Future-work extension: scan send endpoints in priority order instead of
-  // round-robin, so high-priority streams transmit first under load.
-  bool priority_scan = false;
-
   // Experiment E4: model the pre-tuning communication-buffer layout where
   // application-written and engine-written words shared cache lines. The
   // real data structures stay padded (and correct); this charges the
   // modeled invalidation cost.
   bool model_unpadded_layout = false;
-
-  // O(active) scheduling: consume the communication buffer's doorbell ring
-  // instead of sweeping every endpoint slot per step. A low-frequency
-  // backstop sweep (below) recovers lost doorbells, and a sweep also runs
-  // whenever the doorbell path yields no candidate, so correctness never
-  // depends on a doorbell arriving. priority_scan uses the legacy full
-  // scan (priority ordering needs to see every endpoint).
-  bool doorbell_scheduling = true;
 
   // Maximum sends coalesced into one work unit; messages after the first
   // must share the first's destination node and come from distinct
@@ -81,18 +69,24 @@ struct EngineOptions {
   // fairness). 1 disables batching.
   std::uint32_t transmit_batch = 8;
 
+  // The planner is O(active): it consumes the communication buffer's
+  // doorbell ring instead of sweeping every endpoint slot per step. A
+  // low-frequency backstop sweep recovers lost doorbells, and a sweep also
+  // runs whenever the doorbell path yields no candidate, so correctness
+  // never depends on a doorbell arriving.
+  //
   // Run the lost-doorbell backstop sweep every this many outbound plans;
   // 0 disables the periodic sweep (the no-candidate sweep still runs).
   std::uint32_t backstop_interval = 64;
 
   // ---- Sharded engine (DESIGN.md §12) ----
   // This planner's shard id. Each shard plans only the endpoint range the
-  // comm buffer's geometry assigns to it (its own doorbell ring, active
-  // list, scan cursor). Shard 0 is the DISTRIBUTOR: the one shard that
-  // polls the node's wire, delivering own-range packets directly and
-  // handing other shards' packets through their SPSC handoff rings. With
-  // an unsharded comm buffer (shard_count == 1, the default) the engine
-  // behaves exactly as a single planner.
+  // comm buffer's geometry assigns to it (its own doorbell ring and active
+  // list). Shard 0 is the DISTRIBUTOR: the one shard that polls the node's
+  // wire, delivering own-range packets directly and handing other shards'
+  // packets through their SPSC handoff rings. With an unsharded comm buffer
+  // (shard_count == 1, the default) the engine behaves exactly as a single
+  // planner.
   std::uint32_t shard_id = 0;
 
   // ---- QoS planner (DESIGN.md §15) ----
@@ -271,9 +265,9 @@ class MessagingEngine {
   void SetTelemetry(EngineTelemetry* telemetry) { telemetry_ = telemetry; }
 
   // Clock used by the capacity-control (rate-limit) extension; without a
-  // clock, min_send_interval_ns / token-bucket / deadline configurations
-  // are ignored. The SimCluster wires the simulator's virtual clock,
-  // Cluster wires the real one.
+  // clock, token-bucket / deadline configurations are ignored. The
+  // SimCluster wires the simulator's virtual clock, Cluster wires the real
+  // one.
   void SetClock(const Clock* clock) { clock_ = clock; }
   const Clock* clock() const { return clock_; }
 
@@ -384,17 +378,6 @@ class MessagingEngine {
  private:
   enum class WorkKind { kNone, kInbound, kOutbound, kHandler, kRoute };
 
-  // Scans send endpoints (round-robin or priority order) for releasable
-  // work; returns the endpoint index or kInvalidEndpoint. Legacy path:
-  // used when doorbell scheduling is off or priority_scan is on.
-  std::uint32_t FindSendWork();
-
-  // True when the engine schedules sends from the doorbell ring + active
-  // list instead of the legacy full scan.
-  bool UseDoorbellScheduling() const {
-    return options_.doorbell_scheduling && !options_.priority_scan;
-  }
-
   // ---- Doorbell scheduling (engine-private hint state) ----
 
   // Fills planned_batch_ with up to transmit_batch ready same-destination
@@ -428,10 +411,9 @@ class MessagingEngine {
 
   // ---- QoS planner helpers (engine-private state; DESIGN.md §15) ----
 
-  // True when the endpoint's rate limits (min_send_interval_ns and/or the
-  // token bucket) forbid transmitting at `now`. Pure read: a slot whose
-  // alloc_generation differs from the engine's copy is never throttled
-  // (its recorded state belongs to the previous tenant).
+  // True when the endpoint's token bucket forbids transmitting at `now`.
+  // Pure read: a slot whose alloc_generation differs from the engine's copy
+  // is never throttled (its recorded state belongs to the previous tenant).
   bool Throttled(std::uint32_t endpoint, const shm::EndpointRecord& record,
                  TimeNs now) const;
 
@@ -441,13 +423,15 @@ class MessagingEngine {
                                TimeNs now) const;
 
   // Folds accrued refills into the bucket state (called on the commit path
-  // before a token is consumed).
+  // before a token is consumed). A full bucket accrues nothing: its refill
+  // origin moves to `now`, so the next token lands one refill after the
+  // spend that follows.
   void RefillBucket(std::uint32_t endpoint, const shm::EndpointRecord& record, TimeNs now);
 
   // Detects slot reuse via EndpointRecord.alloc_generation and resets the
-  // engine-private throttle/bucket/head-tracking state for the new tenant.
-  // The churn bugfix: without this, a fresh endpoint inherited the previous
-  // tenant's next_send_ok_ deadline.
+  // engine-private bucket/head-tracking state for the new tenant. The
+  // churn bugfix: without this, a fresh endpoint inherited the previous
+  // tenant's empty bucket.
   void SyncSlotState(std::uint32_t endpoint);
 
   // Stamps when the endpoint's current head message was first observed
@@ -475,9 +459,8 @@ class MessagingEngine {
   void CommitInbound(simnet::CostAccumulator& cost);
   void CommitOutbound(simnet::CostAccumulator& cost);
 
-  // Transmits the head message of one endpoint (validity, protection and
-  // rate-limit checks included); shared by the legacy single-send commit
-  // and the batched commit.
+  // Transmits the head message of one endpoint of the planned batch
+  // (validity, protection and rate-limit checks included).
   void CommitOutboundOne(std::uint32_t endpoint_index, simnet::CostAccumulator& cost);
 
   // Shard of the packet's destination endpoint, for inbound routing; an
@@ -514,16 +497,12 @@ class MessagingEngine {
     }
   }
 
-  // Rate-limit extension state: earliest next transmission per endpoint
-  // (engine-private; not part of the shared communication buffer).
-  std::vector<TimeNs> next_send_ok_;
-
   // ---- QoS planner state (engine-private; DESIGN.md §15) ----
   // Last EndpointRecord.alloc_generation observed per slot; 0 = never seen
   // (AllocateEndpoint skips generation 0). A mismatch marks slot reuse.
   std::vector<std::uint32_t> seen_generation_;
   // Token-bucket state: current tokens and the accrual origin of the next
-  // refill. Sized at construction like next_send_ok_.
+  // refill. Sized at construction, one entry per endpoint slot.
   std::vector<std::uint32_t> bucket_tokens_;
   std::vector<TimeNs> bucket_refill_at_;
   // Head-message observation: the process_count value the stamp below was
@@ -549,17 +528,9 @@ class MessagingEngine {
   // Planned work unit.
   WorkKind planned_ = WorkKind::kNone;
   std::optional<simnet::Packet> planned_packet_;
-  std::uint32_t planned_endpoint_ = shm::kInvalidEndpoint;
   std::uint32_t planned_handler_ = 0;
   DurationNs planned_cost_ = 0;
 
-  std::uint32_t scan_cursor_ = 0;
-  // Legacy-scan fairness: CommitOutbound advances scan_cursor_ only when
-  // the delivered endpoint was the round-robin candidate. A priority
-  // preemption must NOT reset the rotation point, or equal-priority
-  // endpoints past the preempted one starve (the cursor would re-walk the
-  // same prefix after every preemption).
-  bool planned_rotation_advance_ = true;
   std::uint64_t send_seq_ = 0;
 
   // Fixed-capacity FIFO of endpoint indices. Replaces std::deque so the

@@ -47,9 +47,7 @@ Result<Endpoint> Domain::CreateEndpoint(const EndpointOptions& options) {
   shm::CommBuffer::EndpointParams params;
   params.type = options.type;
   params.queue_capacity = options.queue_depth;
-  params.priority = options.priority;
   params.allowed_peer = options.allowed_peer.packed();
-  params.min_send_interval_ns = options.min_send_interval_ns;
   params.qos_class = options.qos_class;
   params.deadline_ns = options.deadline_ns;
   params.bucket_capacity = options.bucket_capacity;

@@ -111,8 +111,6 @@ class Domain {
     std::uint32_t queue_depth = 16;  // power of two
     // Allocate a real-time semaphore so blocking operations work.
     bool enable_semaphore = false;
-    // Engine scan priority (priority_scan engines transmit higher first).
-    std::uint32_t priority = shm::kDefaultEndpointPriority;
     // Membership: share the group's semaphore and be scanned by its
     // Receive()/ReceiveBlocking(). Implies semaphore signaling.
     EndpointGroup* group = nullptr;
@@ -120,9 +118,6 @@ class Domain {
     // (engine-enforced, so an untrusted application cannot spray other
     // applications' endpoints). Invalid = unrestricted.
     Address allowed_peer = Address::Invalid();
-    // Capacity-control extension: minimum ns between transmissions from
-    // this send endpoint (engine-enforced token spacing). 0 = unlimited.
-    std::uint32_t min_send_interval_ns = 0;
     // QoS planner (DESIGN.md §15): weighted service class 0..3. When
     // several classes hold backlog, the engine's deficit-weighted planner
     // shares transmissions proportionally to the per-class weights
@@ -133,8 +128,9 @@ class Domain {
     // earliest-deadline-first within its class, deadline-miss accounting
     // in telemetry. 0 = not real-time.
     std::uint32_t deadline_ns = 0;
-    // Token-bucket rate limit (engine-enforced, generalizes
-    // min_send_interval_ns): burst capacity in messages. 0 = no bucket.
+    // Capacity-control extension, an engine-enforced token bucket: burst
+    // capacity in messages. 0 = no bucket; 1 = a minimum send interval of
+    // bucket_refill_ns.
     std::uint32_t bucket_capacity = 0;
     // ns to refill one bucket token; 0 with nonzero capacity means the
     // bucket never refills (hard burst cap).

@@ -367,10 +367,8 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
 
   record.queue_capacity.StoreRelaxed(params.queue_capacity);
   record.semaphore_id.StoreRelaxed(params.semaphore_id);
-  record.priority.StoreRelaxed(params.priority);
   record.options.StoreRelaxed(params.options);
   record.allowed_peer.StoreRelaxed(params.allowed_peer);
-  record.min_send_interval_ns.StoreRelaxed(params.min_send_interval_ns);
   // The owning shard follows from the slot index (contiguous block
   // assignment); published on the record so the application library rings
   // the right doorbell without recomputing the mapping.

@@ -148,7 +148,10 @@ inline constexpr std::uint64_t kCommBufferMagic = 0x464c495043313936ull;  // "FL
 // (qos_class, deadline_ns, bucket_capacity, bucket_refill_ns,
 // alloc_generation) and three engine-side QoS counters on the telemetry
 // block (deadline_misses, max_service_gap_ns, throttle_deferrals).
-inline constexpr std::uint32_t kCommBufferVersion = 5;
+// Version 6 removed the scan-priority and minimum-send-interval cells from
+// the endpoint config line (priority is qos_class/deadline_ns; a send
+// interval is a token bucket of capacity 1).
+inline constexpr std::uint32_t kCommBufferVersion = 6;
 
 class CommBuffer {
  public:
@@ -217,12 +220,9 @@ class CommBuffer {
     std::uint32_t queue_capacity = 16;  // power of two
     std::uint32_t options = kEndpointOptNone;
     std::uint32_t semaphore_id = kNoSemaphore;
-    std::uint32_t priority = kDefaultEndpointPriority;
     // Packed Address of the only permitted destination (send endpoints);
     // 0xffffffff = unrestricted.
     std::uint32_t allowed_peer = 0xffffffffu;
-    // Minimum ns between transmissions (send endpoints); 0 = unlimited.
-    std::uint32_t min_send_interval_ns = 0;
     // Restrict allocation to the slot range of one shard (DESIGN.md §12);
     // kAnyShard picks the first free slot regardless of shard.
     std::uint32_t shard = kAnyShard;
@@ -230,7 +230,8 @@ class CommBuffer {
     std::uint32_t qos_class = 0;
     // Relative per-message deadline in ns; 0 = not real-time.
     std::uint32_t deadline_ns = 0;
-    // Token-bucket burst capacity in messages; 0 = bucket disabled.
+    // Token-bucket burst capacity in messages; 0 = bucket disabled, 1 = a
+    // minimum send interval of bucket_refill_ns.
     std::uint32_t bucket_capacity = 0;
     // Ns to refill one token; meaningful only with bucket_capacity > 0.
     std::uint32_t bucket_refill_ns = 0;

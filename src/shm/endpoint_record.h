@@ -49,10 +49,6 @@ inline constexpr std::uint32_t kEndpointOptSemaphore = 1u << 0;
 
 inline constexpr std::uint32_t kNoSemaphore = 0xffffffffu;
 
-// Default engine scan priority; higher values are scanned first when the
-// engine's priority scheduling extension is enabled.
-inline constexpr std::uint32_t kDefaultEndpointPriority = 0;
-
 // Number of QoS service classes the engine's planner recognizes
 // (DESIGN.md §15). qos_class values at or above this clamp to the top
 // class, so a misconfigured record degrades instead of corrupting state.
@@ -65,14 +61,10 @@ struct alignas(kCacheLineSize) EndpointRecord {
   waitfree::SingleWriterCell<std::uint32_t> queue_capacity;  // power of two
   waitfree::SingleWriterCell<std::uint32_t> cells_reserved;  // arena cells owned
   waitfree::SingleWriterCell<std::uint32_t> semaphore_id;    // kNoSemaphore if none
-  waitfree::SingleWriterCell<std::uint32_t> priority;
   waitfree::SingleWriterCell<std::uint32_t> options;
   // Protection (future-work): packed Address this endpoint may send to;
   // 0xffffffff (invalid) means unrestricted. Enforced by the engine.
   waitfree::SingleWriterCell<std::uint32_t> allowed_peer;
-  // Capacity control (future-work): minimum ns between transmissions from
-  // this endpoint; 0 means unlimited. Enforced by the engine's scheduler.
-  waitfree::SingleWriterCell<std::uint32_t> min_send_interval_ns;
   // Sharded engine: which shard planner owns this endpoint (DESIGN.md §12).
   // Assigned at allocation from the comm buffer's shard geometry and
   // published here so the application rings the owning shard's doorbell
@@ -87,16 +79,18 @@ struct alignas(kCacheLineSize) EndpointRecord {
   // deadline-miss accounting).
   waitfree::SingleWriterCell<std::uint32_t> deadline_ns;
   // QoS planner: token-bucket burst capacity in messages. 0 disables the
-  // bucket (pure min_send_interval_ns mode); bucket state is engine-private.
+  // bucket (no rate limit); bucket state is engine-private. Capacity 1 is a
+  // minimum send interval of one refill period (capacity control, future
+  // work).
   waitfree::SingleWriterCell<std::uint32_t> bucket_capacity;
   // QoS planner: ns to refill one bucket token. 0 with a nonzero capacity
   // means tokens never refill (hard burst cap).
   waitfree::SingleWriterCell<std::uint32_t> bucket_refill_ns;
   // Allocation generation for this slot, bumped on every AllocateEndpoint.
   // The engine compares it against its private copy to detect slot reuse
-  // and drop throttle/bucket state inherited from the previous tenant —
-  // the engine may never observe the transient kInactive window during
-  // churn, so a generation tag (not the type cell) is the reliable signal.
+  // and drop bucket state inherited from the previous tenant — the engine
+  // may never observe the transient kInactive window during churn, so a
+  // generation tag (not the type cell) is the reliable signal.
   waitfree::SingleWriterCell<std::uint32_t> alloc_generation;
 
   // ---- Line 1: application-written hot state ----

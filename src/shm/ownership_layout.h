@@ -75,14 +75,10 @@ inline constexpr FieldOwnership kEndpointRecordOwnership[] = {
      sizeof(EndpointRecord::cells_reserved), ownership_internal::kApp, true, true},
     {"EndpointRecord.semaphore_id", offsetof(EndpointRecord, semaphore_id),
      sizeof(EndpointRecord::semaphore_id), ownership_internal::kApp, true, true},
-    {"EndpointRecord.priority", offsetof(EndpointRecord, priority),
-     sizeof(EndpointRecord::priority), ownership_internal::kApp, true, true},
     {"EndpointRecord.options", offsetof(EndpointRecord, options),
      sizeof(EndpointRecord::options), ownership_internal::kApp, true, true},
     {"EndpointRecord.allowed_peer", offsetof(EndpointRecord, allowed_peer),
      sizeof(EndpointRecord::allowed_peer), ownership_internal::kApp, true, true},
-    {"EndpointRecord.min_send_interval_ns", offsetof(EndpointRecord, min_send_interval_ns),
-     sizeof(EndpointRecord::min_send_interval_ns), ownership_internal::kApp, true, true},
     {"EndpointRecord.shard", offsetof(EndpointRecord, shard),
      sizeof(EndpointRecord::shard), ownership_internal::kApp, true, true},
     {"EndpointRecord.qos_class", offsetof(EndpointRecord, qos_class),
@@ -322,10 +318,8 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"EndpointRecord.queue_capacity", FieldOrderKind::kConfig},
     {"EndpointRecord.cells_reserved", FieldOrderKind::kConfig},
     {"EndpointRecord.semaphore_id", FieldOrderKind::kConfig},
-    {"EndpointRecord.priority", FieldOrderKind::kConfig},
     {"EndpointRecord.options", FieldOrderKind::kConfig},
     {"EndpointRecord.allowed_peer", FieldOrderKind::kConfig},
-    {"EndpointRecord.min_send_interval_ns", FieldOrderKind::kConfig},
     {"EndpointRecord.shard", FieldOrderKind::kConfig},
     {"EndpointRecord.qos_class", FieldOrderKind::kConfig},
     {"EndpointRecord.deadline_ns", FieldOrderKind::kConfig},

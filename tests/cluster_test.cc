@@ -420,7 +420,8 @@ TEST(Cluster, IdleParkWakesAtUnthrottleDeadline) {
   Domain::EndpointOptions tx_options;
   tx_options.type = shm::EndpointType::kSend;
   tx_options.queue_depth = 8;
-  tx_options.min_send_interval_ns = 2'000'000;  // second send due at +2 ms
+  tx_options.bucket_capacity = 1;  // second send due at +2 ms
+  tx_options.bucket_refill_ns = 2'000'000;
   auto tx = a.CreateEndpoint(tx_options);
   ASSERT_TRUE(tx.ok());
 

@@ -1,6 +1,6 @@
 // Tests for the messaging engine: the optimistic transport's delivery and
 // discard rules, ordering, validity checks, the protocol framework, and
-// the endpoint-scan policies.
+// the planner's scheduling and rate-limit policies.
 #include <cstring>
 #include <memory>
 
@@ -57,12 +57,10 @@ class EngineTest : public ::testing::Test {
   }
 
   // Creates an endpoint and returns its index.
-  std::uint32_t MakeEndpoint(int node, EndpointType type, std::uint32_t depth = 8,
-                             std::uint32_t priority = 0) {
+  std::uint32_t MakeEndpoint(int node, EndpointType type, std::uint32_t depth = 8) {
     CommBuffer::EndpointParams params;
     params.type = type;
     params.queue_capacity = depth;
-    params.priority = priority;
     auto index = comm_[node]->AllocateEndpoint(params);
     EXPECT_TRUE(index.ok());
     return *index;
@@ -265,51 +263,21 @@ TEST_F(EngineTest, RoundRobinAcrossSendEndpoints) {
   EXPECT_EQ(arrival_order, (std::vector<std::string>{"a1", "b1", "a2", "b2"}));
 }
 
-TEST_F(EngineTest, PriorityScanPrefersHighPriorityEndpoint) {
-  options_.priority_scan = true;
-  engine_[0] = std::make_unique<MessagingEngine>(*comm_[0], fabric_->wire(0), options_,
-                                                 &model_);
-  const std::uint32_t tx_low = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1);
-  const std::uint32_t tx_high = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/9);
-  const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
-  const Address dst(1, static_cast<std::uint16_t>(rx));
-  for (int i = 0; i < 4; ++i) {
-    PostRecvBuffer(1, rx);
-  }
-  QueueSend(0, tx_low, dst, "low1");
-  QueueSend(0, tx_low, dst, "low2");
-  QueueSend(0, tx_high, dst, "high1");
-  QueueSend(0, tx_high, dst, "high2");
-
-  for (int i = 0; i < 4; ++i) {
-    engine_[0]->Step();
-  }
-  sim_.Run();
-  while (engine_[1]->Step()) {
-  }
-  std::vector<std::string> order;
-  waitfree::BufferQueueView rx_queue = comm_[1]->queue(rx);
-  for (int i = 0; i < 4; ++i) {
-    const BufferIndex b = rx_queue.Acquire();
-    ASSERT_NE(b, waitfree::kInvalidBuffer);
-    order.emplace_back(reinterpret_cast<const char*>(comm_[1]->msg(b).payload));
-  }
-  EXPECT_EQ(order, (std::vector<std::string>{"high1", "high2", "low1", "low2"}));
-}
-
-// Regression: a priority preemption must not reset the round-robin rotation
-// point. The old code advanced scan_cursor_ past whichever endpoint was
-// delivered, so after every high-priority preemption the next scan restarted
-// just past the HIGH endpoint, re-served the first ready low-priority
-// endpoint, and starved the equal-priority endpoints behind it.
-TEST_F(EngineTest, PriorityPreemptionDoesNotResetRotation) {
-  options_.priority_scan = true;
-  engine_[0] = std::make_unique<MessagingEngine>(*comm_[0], fabric_->wire(0), options_,
-                                                 &model_);
-  const std::uint32_t low[3] = {MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1),
-                                MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1),
-                                MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1)};
-  const std::uint32_t high = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/9);
+// A real-time preemption must not reset the round-robin rotation point:
+// after every RT (deadline_ns) send, the planner resumes the non-RT
+// rotation where it left off, so no non-RT endpoint is re-served ahead of
+// the ones behind it (a rotation reset would starve them).
+TEST_F(EngineTest, RealTimePreemptionDoesNotResetRotation) {
+  options_.transmit_batch = 1;  // one message per unit: preemption between steps
+  RebuildEngines();
+  const std::uint32_t low[3] = {MakeEndpoint(0, EndpointType::kSend),
+                                MakeEndpoint(0, EndpointType::kSend),
+                                MakeEndpoint(0, EndpointType::kSend)};
+  CommBuffer::EndpointParams rt_params;
+  rt_params.type = EndpointType::kSend;
+  rt_params.queue_capacity = 8;
+  rt_params.deadline_ns = 100'000;
+  const std::uint32_t high = MakeEndpointQos(0, rt_params);
   const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
   const Address dst(1, static_cast<std::uint16_t>(rx));
   for (int i = 0; i < 6; ++i) {
@@ -323,15 +291,19 @@ TEST_F(EngineTest, PriorityPreemptionDoesNotResetRotation) {
     }
   }
 
-  // Three rounds of: one low-priority delivery, then a high-priority message
-  // arrives and preempts. Equal-priority rotation must still visit each low
-  // endpoint once per cycle.
+  // Three rounds of: one non-RT delivery, then an RT message arrives (its
+  // doorbell rung the way the application library does) and preempts. The
+  // rotation must still visit each non-RT endpoint once per cycle.
   for (int round = 1; round <= 3; ++round) {
-    engine_[0]->Step();  // a low endpoint (high queue is empty)
+    engine_[0]->Step();  // a non-RT endpoint (the RT queue is empty)
     char text[16];
     std::snprintf(text, sizeof(text), "h%d", round);
     QueueSend(0, high, dst, text);
-    engine_[0]->Step();  // the high endpoint preempts
+    {
+      waitfree::ScopedBoundaryRole app_role(waitfree::Writer::kApplication);
+      comm_[0]->doorbell_ring().Ring(high);
+    }
+    engine_[0]->Step();  // the RT endpoint preempts
   }
   sim_.Run();
   while (engine_[1]->Step()) {
@@ -884,6 +856,33 @@ TEST_F(EngineTest, TokenBucketAllowsBurstThenSustainedRate) {
   EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 6u);
 }
 
+// Regression: a fresh bucket is seeded when the planner first sees the slot
+// (plan time). A full bucket must not accrue from that seed: the token
+// spent at commit comes back one refill after the spend, not one refill
+// after the plan, or the bound capacity + elapsed / refill breaks.
+TEST_F(EngineTest, FullBucketRefillCountsFromSpend) {
+  constexpr TimeNs kT = 1'000'000;
+  ManualClock clock;
+  clock.AdvanceTo(kT);
+  engine_[0]->SetClock(&clock);
+
+  CommBuffer::EndpointParams params;
+  params.type = EndpointType::kSend;
+  params.queue_capacity = 8;
+  params.bucket_capacity = 1;
+  params.bucket_refill_ns = 100'000;
+  const std::uint32_t tx = MakeEndpointQos(0, params);
+  QueueSend(0, tx, Address(1, 0));
+
+  EXPECT_GT(engine_[0]->PlanStep(), 0);
+  clock.AdvanceBy(5'000);
+  EXPECT_TRUE(engine_[0]->CommitStep());
+  EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 1u);
+
+  QueueSend(0, tx, Address(1, 0));
+  EXPECT_EQ(engine_[0]->NextUnthrottleTime(), kT + 105'000);
+}
+
 // The starvation counter fires while ready work sits behind a rate gate,
 // and stops once the backlog drains.
 TEST_F(EngineTest, ThrottleDeferralsCountWhileBacklogWaits) {
@@ -894,7 +893,8 @@ TEST_F(EngineTest, ThrottleDeferralsCountWhileBacklogWaits) {
   CommBuffer::EndpointParams params;
   params.type = EndpointType::kSend;
   params.queue_capacity = 8;
-  params.min_send_interval_ns = 100'000;
+  params.bucket_capacity = 1;  // one send per 100 us
+  params.bucket_refill_ns = 100'000;
   const std::uint32_t tx = MakeEndpointQos(0, params);
   QueueSend(0, tx, Address(1, 0));
   QueueSend(0, tx, Address(1, 0));
@@ -925,7 +925,8 @@ TEST_F(EngineTest, DeadlineMissAndServiceGapRecorded) {
   params.type = EndpointType::kSend;
   params.queue_capacity = 8;
   params.deadline_ns = 50'000;
-  params.min_send_interval_ns = 200'000;
+  params.bucket_capacity = 1;  // one send per 200 us
+  params.bucket_refill_ns = 200'000;
   const std::uint32_t tx = MakeEndpointQos(0, params);
   QueueSend(0, tx, Address(1, 0));
   QueueSend(0, tx, Address(1, 0));

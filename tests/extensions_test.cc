@@ -94,7 +94,8 @@ TEST(RateLimit, EnforcesMinimumSendSpacing) {
   Domain::EndpointOptions tx_options;
   tx_options.type = shm::EndpointType::kSend;
   tx_options.queue_depth = 16;
-  tx_options.min_send_interval_ns = 100'000;  // at most one send per 100 us
+  tx_options.bucket_capacity = 1;  // at most one send per 100 us
+  tx_options.bucket_refill_ns = 100'000;
   auto tx = a.CreateEndpoint(tx_options);
   ASSERT_TRUE(tx.ok());
 
@@ -150,7 +151,8 @@ TEST(RateLimit, ThrottleDoesNotStarveOtherEndpoints) {
   Domain::EndpointOptions limited;
   limited.type = shm::EndpointType::kSend;
   limited.queue_depth = 8;
-  limited.min_send_interval_ns = 1'000'000;  // 1 ms: heavily throttled
+  limited.bucket_capacity = 1;  // one send per 1 ms: heavily throttled
+  limited.bucket_refill_ns = 1'000'000;
   auto slow_tx = a.CreateEndpoint(limited);
   auto fast_tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 8});
   ASSERT_TRUE(slow_tx.ok() && fast_tx.ok());

@@ -507,10 +507,10 @@ TEST_F(DoorbellScenarioTest, CrossShardDoorbellHintIgnored) {
 
 // Satellite regression (the stale-throttle churn bug): a heavily throttled
 // endpoint transmits once, is destroyed, and its slot is reallocated to a
-// NEW send endpoint with no rate limit. The engine's private throttle
-// deadline for the slot still holds the old tenant's far-future value;
-// without the allocation-generation reset the new endpoint's first send
-// would stall behind a rate limit it never configured.
+// NEW send endpoint whose own bucket starts full. The engine's private
+// bucket for the slot still holds the old tenant's empty bucket and
+// far-future refill; without the allocation-generation reset the new
+// endpoint's first send would stall behind the dead tenant's debt.
 TEST_F(DoorbellScenarioTest, SlotReuseDropsPreviousTenantsThrottleState) {
   Init(/*shard_count=*/1);
   ManualClock clock;
@@ -520,7 +520,8 @@ TEST_F(DoorbellScenarioTest, SlotReuseDropsPreviousTenantsThrottleState) {
   shm::CommBuffer::EndpointParams limited;
   limited.type = shm::EndpointType::kSend;
   limited.queue_capacity = 8;
-  limited.min_send_interval_ns = 1'000'000'000;  // 1 s: poisons the slot after one send
+  limited.bucket_capacity = 1;  // one send per 1 s: poisons the slot after one send
+  limited.bucket_refill_ns = 1'000'000'000;
   auto first = comm_->AllocateEndpoint(limited);
   ASSERT_TRUE(first.ok());
 
@@ -529,18 +530,15 @@ TEST_F(DoorbellScenarioTest, SlotReuseDropsPreviousTenantsThrottleState) {
   EXPECT_EQ(comm_->telemetry(*first).engine_transmits.Read(), 1u);
 
   // Drain and destroy; first-fit reallocation hands the same slot to a
-  // fresh, UNLIMITED send endpoint.
+  // fresh send endpoint with the same rate limit (a fresh bucket is full).
   EXPECT_NE(comm_->queue(*first).Acquire(), waitfree::kInvalidBuffer);
   ASSERT_TRUE(comm_->FreeEndpoint(*first).ok());
-  shm::CommBuffer::EndpointParams unlimited;
-  unlimited.type = shm::EndpointType::kSend;
-  unlimited.queue_capacity = 8;
-  auto second = comm_->AllocateEndpoint(unlimited);
+  auto second = comm_->AllocateEndpoint(limited);
   ASSERT_TRUE(second.ok());
   ASSERT_EQ(*second, *first);  // same slot recycled
 
-  // WITHOUT advancing the clock: the new tenant transmits immediately
-  // instead of inheriting the dead tenant's 1-second gate.
+  // WITHOUT advancing the clock: the new tenant spends its first token
+  // immediately instead of inheriting the dead tenant's empty bucket.
   QueueSend(*second, Address(1, 0));
   StepToQuiescence();
   EXPECT_EQ(comm_->telemetry(*second).engine_transmits.Read(), 1u);

@@ -132,7 +132,7 @@ TEST(PosixCommBuffer, AttachSeesEndpointsAcrossProcesses) {
     CommBuffer::EndpointParams params;
     params.type = EndpointType::kReceive;
     params.queue_capacity = 4;
-    params.priority = 7;
+    params.qos_class = 3;
     auto endpoint = (*child_comm)->AllocateEndpoint(params);
     ::_exit(endpoint.ok() ? static_cast<int>(*endpoint) : 60);
   }
@@ -145,7 +145,7 @@ TEST(PosixCommBuffer, AttachSeesEndpointsAcrossProcesses) {
   const EndpointRecord& record = (*comm)->endpoint(index);
   EXPECT_TRUE(record.IsActive());
   EXPECT_EQ(record.Type(), EndpointType::kReceive);
-  EXPECT_EQ(record.priority.Read(), 7u);
+  EXPECT_EQ(record.qos_class.Read(), 3u);
 }
 
 }  // namespace

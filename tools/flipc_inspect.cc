@@ -83,8 +83,7 @@ void Dump(shm::CommBuffer& comm) {
               header.cell_arena_size);
 
   TextTable table({"ep", "type", "depth", "queued", "processable", "ready", "drops",
-                   "processed", "prio", "restrict", "rate ns", "class", "deadline",
-                   "bucket"});
+                   "processed", "restrict", "class", "deadline", "bucket"});
   for (std::uint32_t i = 0; i < header.max_endpoints; ++i) {
     const shm::EndpointRecord& record = comm.endpoint(i);
     if (!record.IsActive()) {
@@ -109,9 +108,7 @@ void Dump(shm::CommBuffer& comm) {
                   std::to_string(queue.AcquirableCount()),
                   std::to_string(record.DropCount()),
                   std::to_string(record.processed_total.Read()),
-                  std::to_string(record.priority.Read()), restrict_text,
-                  std::to_string(record.min_send_interval_ns.Read()),
-                  std::to_string(record.qos_class.Read()),
+                  restrict_text, std::to_string(record.qos_class.Read()),
                   std::to_string(record.deadline_ns.Read()), bucket_text});
   }
   std::printf("%s", table.ToString().c_str());
@@ -358,9 +355,7 @@ int Demo(const InspectOptions& options) {
   shm::CommBuffer::EndpointParams tx;
   tx.type = shm::EndpointType::kSend;
   tx.queue_capacity = 4;
-  tx.priority = 9;
   tx.allowed_peer = Address(1, 0).packed();
-  tx.min_send_interval_ns = 50'000;
   tx.qos_class = 2;
   tx.deadline_ns = 250'000;
   tx.bucket_capacity = 4;
