@@ -10,14 +10,12 @@
 #   asan-ubsan    AddressSanitizer + UBSan build + full ctest
 #   tidy          clang-tidy over src/ (skipped with a notice if not installed)
 #   static-audit  flipc_static_audit (role/memory-order/hot-path proofs) +
-#                 policy + protocol-IR drift checks, fixture selftest and
-#                 the fact-cache selftest (skipped without python3)
+#                 policy + protocol-IR drift checks and the fixture
+#                 selftest (skipped without python3)
 #   progress-cert whole-program wait-free certificate (interprocedural
-#                 purity closure + bounded-progress proofs) under EVERY
-#                 frontend available here — tokparse always, libclang when
-#                 python3-clang is importable — plus the JSON report and
-#                 the park-site census gate (>=1 annotated park site, none
-#                 inside a hot-path scope)
+#                 purity closure + bounded-progress proofs) plus the JSON
+#                 report and the park-site census gate (>=1 annotated park
+#                 site, none inside a hot-path scope)
 #   failure-scenarios
 #                 the DESIGN.md §14 failure-injection family (engine
 #                 kill/restart recovery, endpoint churn, stale doorbells,
@@ -79,7 +77,7 @@ run_static_audit() {
   echo "==== [static-audit] protocol auditor + drift + selftest ($dir) ===="
   cmake -B "$dir" -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j "$JOBS" --target flipc_ownership_export
-  ctest --test-dir "$dir" --output-on-failure     -R '^flipc_(static_audit|static_audit_selftest|static_audit_cache|ownership_policy_drift|protocol_ir_drift)$'
+  ctest --test-dir "$dir" --output-on-failure     -R '^flipc_(static_audit|static_audit_selftest|ownership_policy_drift|protocol_ir_drift)$'
 }
 
 run_progress_cert() {
@@ -89,18 +87,12 @@ run_progress_cert() {
   fi
   local dir="build-matrix/progress-cert"
   mkdir -p "$dir"
-  local frontends=(tokparse)
-  if python3 -c 'import clang.cindex' > /dev/null 2>&1; then
-    frontends+=(clang)
-  else
-    echo "==== [progress-cert] python3-clang not importable: tokparse frontend only ===="
-  fi
-  for fe in "${frontends[@]}"; do
-    echo "==== [progress-cert/$fe] whole-program wait-free certificate ===="
-    python3 tools/flipc_static_audit/flipc_static_audit.py       --policy tools/ownership_policy.json --source-root .       --frontend "$fe" --cache-dir "$dir/cache-$fe"       --json "$dir/audit_report_$fe.json"
-  done
+  echo "==== [progress-cert] whole-program wait-free certificate ===="
+  python3 tools/flipc_static_audit/flipc_static_audit.py \
+    --policy tools/ownership_policy.json --source-root . \
+    --json "$dir/audit_report.json"
   echo "==== [progress-cert] park-site census gate ===="
-  python3 - "$dir/audit_report_${frontends[0]}.json" << 'EOF'
+  python3 - "$dir/audit_report.json" << 'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 census = doc["unbounded_wait_sites"]

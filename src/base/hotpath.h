@@ -41,7 +41,9 @@
 // C-level malloc() calls do not route through operator new and are not
 // hooked at runtime (glibc removed __malloc_hook); they are caught by the
 // symbol lint instead, which denies undefined malloc/calloc/realloc
-// references in pure hot-path translation units.
+// references in pure hot-path translation units, and by the static
+// auditor (tools/flipc_static_audit), which bans C allocator calls inside
+// every armed scope, `nolock` translation units included.
 #ifndef SRC_BASE_HOTPATH_H_
 #define SRC_BASE_HOTPATH_H_
 
@@ -77,22 +79,13 @@
 //                         (boundary_check.h: DeclareCellOwner(cell, owner,
 //                         shard, label) + BindCurrentThread(role, shard)).
 //
-// Zero-cost by construction: under Clang they expand to an `annotate`
-// attribute (visible in the AST, absent from generated code); elsewhere to
-// nothing. The token-level auditor frontend reads the macro names straight
-// from the source, so the annotations work under any compiler. A function
-// may carry more than one role (it runs under either side's closure).
-#if defined(__clang__)
-#define FLIPC_ROLE_APP __attribute__((annotate("flipc_role_app")))
-#define FLIPC_ROLE_ENGINE __attribute__((annotate("flipc_role_engine")))
-#define FLIPC_ROLE_ENGINE_SHARD __attribute__((annotate("flipc_role_engine_shard")))
-#define FLIPC_ROLE_QUIESCENT __attribute__((annotate("flipc_role_quiescent")))
-#else
+// Zero-cost by construction: they expand to nothing. The auditor's token
+// frontend reads the macro names straight from the source. A function may
+// carry more than one role (it runs under either side's closure).
 #define FLIPC_ROLE_APP
 #define FLIPC_ROLE_ENGINE
 #define FLIPC_ROLE_ENGINE_SHARD
 #define FLIPC_ROLE_QUIESCENT
-#endif
 
 // ---- Progress annotations (tools/flipc_static_audit) -----------------------
 //
@@ -118,7 +111,7 @@
 //                                entry point.
 //
 // Both are statements that compile to nothing in every build mode; the
-// auditor frontends read the macro names straight from the token stream.
+// auditor reads the macro names straight from the token stream.
 #define FLIPC_BOUNDED_BY(expr) ((void)sizeof((expr)))
 #define FLIPC_UNBOUNDED_WAIT(why) ((void)sizeof((why)))
 

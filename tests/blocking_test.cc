@@ -12,11 +12,11 @@
 namespace flipc {
 namespace {
 
-std::unique_ptr<Cluster> MakeCluster() {
+std::unique_ptr<Cluster> MakeCluster(std::uint32_t buffer_count = 64) {
   Cluster::Options options;
   options.node_count = 2;
   options.comm.message_size = 128;
-  options.comm.buffer_count = 64;
+  options.comm.buffer_count = buffer_count;
   auto cluster = Cluster::Create(options);
   EXPECT_TRUE(cluster.ok());
   (*cluster)->Start();
@@ -164,7 +164,8 @@ TEST(Blocking, GroupReceiveBlockingTimesOut) {
 // senders; every message must be consumed exactly once, with no drops and
 // no lost wakeups (the classic semaphore-accounting hazard).
 TEST(Blocking, GroupConsumerDrainsConcurrentSenders) {
-  auto cluster = MakeCluster();
+  constexpr int kPerSender = 30;
+  auto cluster = MakeCluster(/*buffer_count=*/128);
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
 
@@ -174,18 +175,21 @@ TEST(Blocking, GroupConsumerDrainsConcurrentSenders) {
   for (int i = 0; i < 3; ++i) {
     Domain::EndpointOptions options;
     options.type = shm::EndpointType::kReceive;
-    options.queue_depth = 16;
+    options.queue_depth = 32;
     options.group = group->get();
     auto endpoint = b.CreateEndpoint(options);
     ASSERT_TRUE(endpoint.ok());
     members.push_back(*endpoint);
-    for (int j = 0; j < 8; ++j) {
+    // No flow control: no-loss holds by static sizing. Each member posts a
+    // buffer for every message its sender will send, so a consumer starved
+    // by the scheduler never leaves a member without a posted buffer.
+    for (int j = 0; j < kPerSender; ++j) {
       auto buffer = b.AllocateBuffer();
+      ASSERT_TRUE(buffer.ok());
       ASSERT_TRUE(endpoint->PostBuffer(*buffer).ok());
     }
   }
 
-  constexpr int kPerSender = 30;
   std::atomic<int> consumed{0};
   std::thread consumer([&] {
     for (int i = 0; i < 3 * kPerSender; ++i) {

@@ -170,20 +170,27 @@ TEST(Cluster, GroupBlockingReceiveAcrossEndpoints) {
 }
 
 TEST(Cluster, ManyToOneTrafficNoLoss) {
+  constexpr int kSenders = 3;
+  constexpr int kPerSender = 40;
+  // No flow control: no-loss holds by static sizing. The sink posts a
+  // buffer for every message the senders will ever send, so even a sink
+  // starved by the scheduler never meets an empty receive queue.
+  constexpr int kInFlightBound = kSenders * kPerSender;
   auto cluster = MakeCluster(4);
   Domain& sink_domain = cluster->domain(3);
   auto sink = sink_domain.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 64});
+      {.type = shm::EndpointType::kReceive, .queue_depth = 128});
   ASSERT_TRUE(sink.ok());
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < kInFlightBound; ++i) {
     auto buffer = sink_domain.AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
     ASSERT_TRUE(sink->PostBuffer(*buffer).ok());
   }
 
-  constexpr int kPerSender = 40;
-  std::vector<std::thread> senders;
-  for (NodeId n = 0; n < 3; ++n) {
+  // jthreads join on every exit path, so a failed ASSERT below reports
+  // instead of destroying joinable threads (std::terminate).
+  std::vector<std::jthread> senders;
+  for (NodeId n = 0; n < kSenders; ++n) {
     senders.emplace_back([&, n] {
       Domain& d = cluster->domain(n);
       auto tx = d.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 4});
@@ -199,15 +206,15 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
   }
 
   int received = 0;
-  std::uint32_t last_seq[3] = {0, 0, 0};
-  bool seen[3] = {false, false, false};
-  while (received < 3 * kPerSender) {
+  std::uint32_t last_seq[kSenders] = {0, 0, 0};
+  bool seen[kSenders] = {false, false, false};
+  while (received < kInFlightBound) {
     auto message = PollUntilOk([&] { return sink->Receive(); });
     ASSERT_TRUE(message.ok());
     const std::uint32_t value = *message->As<std::uint32_t>();
     const std::uint32_t sender = value >> 16;
     const std::uint32_t seq = value & 0xffff;
-    ASSERT_LT(sender, 3u);
+    ASSERT_LT(sender, static_cast<std::uint32_t>(kSenders));
     if (seen[sender]) {
       EXPECT_EQ(seq, last_seq[sender] + 1);  // per-pair FIFO
     } else {
@@ -217,9 +224,6 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
     last_seq[sender] = seq;
     ASSERT_TRUE(sink->PostBuffer(*message).ok());
     ++received;
-  }
-  for (auto& t : senders) {
-    t.join();
   }
   EXPECT_EQ(sink->DropCount(), 0u);
 }
@@ -248,16 +252,19 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
   Domain& b = cluster->domain(1);
 
   // One receive endpoint in each shard of node 1: rx0 is delivered directly
-  // by the distributor, rx1 only via the handoff ring.
+  // by the distributor, rx1 only via the handoff ring. No flow control:
+  // no-loss holds by static sizing, each posting a buffer for every message
+  // it will receive.
+  constexpr std::uint32_t kPerEndpoint = 64;
   auto rx0 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 16, .shard = 0});
+      {.type = shm::EndpointType::kReceive, .queue_depth = kPerEndpoint, .shard = 0});
   auto rx1 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 16, .shard = 1});
+      {.type = shm::EndpointType::kReceive, .queue_depth = kPerEndpoint, .shard = 1});
   ASSERT_TRUE(rx0.ok() && rx1.ok());
   EXPECT_LT(rx0->index(), 8u);   // shard 0 owns slots [0, 8)
   EXPECT_GE(rx1->index(), 8u);   // shard 1 owns slots [8, 16)
   for (auto* rx : {&*rx0, &*rx1}) {
-    for (int i = 0; i < 16; ++i) {
+    for (std::uint32_t i = 0; i < kPerEndpoint; ++i) {
       auto buffer = b.AllocateBuffer();
       ASSERT_TRUE(buffer.ok());
       ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
@@ -269,7 +276,6 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
 
   // Alternate destinations so the distributor interleaves direct delivery
   // with handoff pushes; per-endpoint FIFO must survive the split.
-  constexpr std::uint32_t kPerEndpoint = 64;
   auto msg = a.AllocateBuffer();
   ASSERT_TRUE(msg.ok());
   std::uint32_t expect0 = 0, expect1 = 0, got0 = 0, got1 = 0;
@@ -279,8 +285,8 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
     ASSERT_TRUE(tx->Send(*msg, dst.address()).ok());
     msg = *PollUntilOk([&] { return tx->Reclaim(); });
 
-    // Drain opportunistically to keep the posted-buffer pools from running
-    // dry; final drain below picks up the rest.
+    // Drain opportunistically so receives overlap the flood; the final
+    // drain below picks up the rest.
     for (auto [rx, expect, got] :
          {std::tuple{&*rx0, &expect0, &got0}, std::tuple{&*rx1, &expect1, &got1}}) {
       auto message = rx->Receive();
@@ -331,13 +337,16 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
 }
 
 TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
+  constexpr int kPerThread = 50;
   auto cluster = MakeCluster();
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
 
-  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 64});
+  // No flow control: no-loss holds by static sizing, one posted buffer for
+  // every message the two senders will send.
+  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 128});
   ASSERT_TRUE(rx.ok());
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 2 * kPerThread; ++i) {
     auto buffer = b.AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
     ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
@@ -347,7 +356,6 @@ TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
   // variants — the configuration the paper's default interface supports.
   auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 32});
   ASSERT_TRUE(tx.ok());
-  constexpr int kPerThread = 50;
   std::atomic<int> sent{0};
   auto sender = [&] {
     auto msg = a.AllocateBuffer();
@@ -360,17 +368,17 @@ TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
       msg = *PollUntilOk([&] { return tx->Reclaim(); });
     }
   };
-  std::thread t1(sender), t2(sender);
-
-  int received = 0;
-  while (received < 2 * kPerThread) {
-    auto message = PollUntilOk([&] { return rx->Receive(); });
-    ASSERT_TRUE(message.ok());
-    ASSERT_TRUE(rx->PostBuffer(*message).ok());
-    ++received;
+  {
+    // jthreads join on every exit path (see ManyToOneTrafficNoLoss).
+    std::jthread t1(sender), t2(sender);
+    int received = 0;
+    while (received < 2 * kPerThread) {
+      auto message = PollUntilOk([&] { return rx->Receive(); });
+      ASSERT_TRUE(message.ok());
+      ASSERT_TRUE(rx->PostBuffer(*message).ok());
+      ++received;
+    }
   }
-  t1.join();
-  t2.join();
   EXPECT_EQ(sent.load(), 2 * kPerThread);
   EXPECT_EQ(rx->DropCount(), 0u);
 }

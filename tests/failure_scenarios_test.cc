@@ -84,11 +84,12 @@ class ScopedPostmortem {
 
 // Returns a STOPPED cluster so callers can attach TraceRings (a plain
 // pointer store, legal only before the engine threads run) and then Start.
-std::unique_ptr<Cluster> MakeShardedCluster(std::uint32_t shards) {
+std::unique_ptr<Cluster> MakeShardedCluster(std::uint32_t shards,
+                                            std::uint32_t buffer_count = 256) {
   Cluster::Options options;
   options.node_count = 2;
   options.comm.message_size = 128;
-  options.comm.buffer_count = 256;
+  options.comm.buffer_count = buffer_count;
   options.comm.max_endpoints = 16;
   options.comm.shard_count = shards;
   options.pin_shard_threads = false;  // CI containers may expose one CPU.
@@ -103,13 +104,20 @@ std::unique_ptr<Cluster> MakeShardedCluster(std::uint32_t shards) {
 // comm-buffer telemetry identities audit clean afterwards.
 void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
                          const char* test_name) {
-  ScopedPostmortem postmortem(test_name);
   // TraceRings are single-writer: one flight recorder per planner shard,
   // never shared. A restarted engine is a new object, so its ring must be
-  // re-attached after RestartShard.
+  // re-attached after RestartShard. Declared before the postmortem, whose
+  // destructor reads them.
   TraceRing rx_trace[2] = {TraceRing(8192), TraceRing(8192)};
+  ScopedPostmortem postmortem(test_name);
 
-  auto cluster = MakeShardedCluster(2);
+  constexpr std::uint64_t kMessages = 600;
+  constexpr std::uint64_t kKillAt = 150;
+  constexpr std::uint64_t kRestartAt = 300;
+  // The flood alternates endpoints, so each receives kMessages / 2.
+  constexpr std::uint32_t kPerEndpoint = kMessages / 2;
+
+  auto cluster = MakeShardedCluster(2, /*buffer_count=*/1024);
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
   for (std::uint32_t s = 0; s < 2; ++s) {
@@ -120,13 +128,17 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
 
   // One receive endpoint per shard of node 1; the flood alternates between
   // them so the surviving shard keeps delivering while the victim is dead.
+  // No flow control: delivery holds by static sizing. Each endpoint posts a
+  // buffer for every message the flood sends it, so neither a starved
+  // receiver thread nor the restarted engine's burst of packets queued
+  // while it was dead can meet an empty receive queue.
   auto rx0 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 32, .shard = 0});
+      {.type = shm::EndpointType::kReceive, .queue_depth = 512, .shard = 0});
   auto rx1 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 32, .shard = 1});
+      {.type = shm::EndpointType::kReceive, .queue_depth = 512, .shard = 1});
   ASSERT_TRUE(rx0.ok() && rx1.ok());
   for (auto* rx : {&*rx0, &*rx1}) {
-    for (int i = 0; i < 32; ++i) {
+    for (std::uint32_t i = 0; i < kPerEndpoint; ++i) {
       auto buffer = b.AllocateBuffer();
       ASSERT_TRUE(buffer.ok());
       ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
@@ -134,10 +146,6 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   }
   auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 8});
   ASSERT_TRUE(tx.ok());
-
-  constexpr std::uint64_t kMessages = 600;
-  constexpr std::uint64_t kKillAt = 150;
-  constexpr std::uint64_t kRestartAt = 300;
 
   // Receiver thread: drain both endpoints, reposting every buffer, until
   // told the flood is fully accounted for.
@@ -256,10 +264,14 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
   Domain& b = cluster->domain(1);
 
   // Cross-traffic: a survivor pair that must be unperturbed by the churn.
+  // Its sender keeps at most kCrossWindow messages unconsumed (a credit
+  // window equal to the posted buffers), so no-drop holds by construction
+  // rather than by the receiver thread keeping up.
+  constexpr std::uint64_t kCrossWindow = 64;
   auto rx_cross = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 64});
+      {.type = shm::EndpointType::kReceive, .queue_depth = kCrossWindow});
   ASSERT_TRUE(rx_cross.ok());
-  for (int i = 0; i < 64; ++i) {
+  for (std::uint64_t i = 0; i < kCrossWindow; ++i) {
     auto buffer = b.AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
     ASSERT_TRUE(rx_cross->PostBuffer(*buffer).ok());
@@ -287,7 +299,8 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
         if (message.ok()) {
           ASSERT_TRUE(rx->PostBuffer(*message).ok());
           if (rx == &*rx_cross) {
-            cross_received.fetch_add(1, std::memory_order_relaxed);
+            // Release: a sender that sees this credit also sees the repost.
+            cross_received.fetch_add(1, std::memory_order_release);
           }
           any = true;
         }
@@ -307,6 +320,12 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
     auto msg = a.AllocateBuffer();
     ASSERT_TRUE(msg.ok());
     for (std::uint64_t i = 0; i < kCrossMessages; ++i) {
+      for (int spin = 0;
+           spin < 200000 &&
+           i - cross_received.load(std::memory_order_acquire) >= kCrossWindow;
+           ++spin) {
+        std::this_thread::yield();
+      }
       while (!tx_cross->Send(*msg, rx_cross->address()).ok()) {
         std::this_thread::yield();
       }

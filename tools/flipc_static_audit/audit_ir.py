@@ -1,14 +1,13 @@
 """Shared micro-IR for the FLIPC static protocol auditor.
 
-Both frontends (libclang and the dependency-free token parser) lower the
-audited sources into this IR; the rules engine consumes only this, so the
-two frontends are interchangeable and the rules are tested independently of
-which one produced the facts.
+The token-parser frontend (tokparse_frontend.py) lowers the audited sources
+into this IR; the rules engine consumes only this, so the rules are tested
+independently of how the facts were extracted.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 # Access ops. Cell ops are the SingleWriterCell interface; raw ops are the
 # std::atomic interface (order is the explicit memory_order argument, or
@@ -30,7 +29,7 @@ RAW_WRITE_OPS = {
 }
 RAW_READ_OPS = {"load", "test"}
 # `clear` and `test` collide with std::vector/std::bitset-style interfaces;
-# frontends only emit them for src/base/locks.h (the one audited file using
+# the frontend only emits them for src/base/locks.h (the one audited file using
 # std::atomic_flag).
 LOCKS_ONLY_RAW_OPS = {"clear", "test"}
 
@@ -56,18 +55,6 @@ RAW_ROLE_TO_EFFECTIVE = {
     "engine": ROLE_ENGINE,
     "engine_shard": ROLE_ENGINE,
     "quiescent": ROLE_QUIESCENT,
-}
-ROLE_MACROS = {
-    macro: RAW_ROLE_TO_EFFECTIVE[raw] for macro, raw in ROLE_MACROS_RAW.items()
-}
-ROLE_ANNOTATIONS_RAW = {
-    "flipc_role_app": "app",
-    "flipc_role_engine": "engine",
-    "flipc_role_engine_shard": "engine_shard",
-    "flipc_role_quiescent": "quiescent",
-}
-ROLE_ANNOTATIONS = {
-    ann: RAW_ROLE_TO_EFFECTIVE[raw] for ann, raw in ROLE_ANNOTATIONS_RAW.items()
 }
 
 
@@ -167,14 +154,12 @@ class Function:
 
 @dataclass
 class TranslationIR:
-    """Everything a frontend extracted from the audited sources."""
+    """Everything the frontend extracted from the audited sources."""
 
     functions: list[Function] = field(default_factory=list)
     # Roles found on declarations without bodies, keyed (klass, simple);
     # merged onto matching definitions by the rules engine.
     decl_roles: dict[tuple[str, str], set[str]] = field(default_factory=dict)
-    # memory_order_seq_cst mentions: (file, line).
-    seq_cst_sites: list[tuple[str, int]] = field(default_factory=list)
 
     def add_decl_roles(self, klass: str, simple: str, roles: set[str]) -> None:
         if roles:
@@ -184,57 +169,3 @@ class TranslationIR:
         self.functions.extend(other.functions)
         for key, roles in other.decl_roles.items():
             self.decl_roles.setdefault(key, set()).update(roles)
-        self.seq_cst_sites.extend(other.seq_cst_sites)
-
-
-# --------------------------------------------------------------------------
-# (De)serialization — the content-hash cache stores one TranslationIR per
-# audited file as JSON. The schema is internal to the auditor; bump
-# flipc_static_audit.CACHE_SCHEMA whenever it changes shape.
-# --------------------------------------------------------------------------
-
-
-def function_to_dict(fn: Function) -> dict:
-    d = asdict(fn)
-    d["roles"] = sorted(fn.roles)
-    d["role_macros"] = sorted(fn.role_macros)
-    return d
-
-
-def function_from_dict(d: dict) -> Function:
-    return Function(
-        qname=d["qname"],
-        simple=d["simple"],
-        klass=d["klass"],
-        file=d["file"],
-        line=d["line"],
-        roles=set(d["roles"]),
-        role_macros=set(d["role_macros"]),
-        calls=list(d["calls"]),
-        accesses=[Access(**a) for a in d["accesses"]],
-        hot_lines=list(d["hot_lines"]),
-        call_sites=[CallSite(**c) for c in d["call_sites"]],
-        loops=[Loop(**l) for l in d["loops"]],
-        impurities=[Impurity(**i) for i in d["impurities"]],
-        wait_sites=[WaitSite(**w) for w in d["wait_sites"]],
-    )
-
-
-def ir_to_dict(ir: TranslationIR) -> dict:
-    return {
-        "functions": [function_to_dict(fn) for fn in ir.functions],
-        "decl_roles": [
-            [klass, simple, sorted(roles)]
-            for (klass, simple), roles in sorted(ir.decl_roles.items())
-        ],
-        "seq_cst_sites": [[rel, line] for rel, line in ir.seq_cst_sites],
-    }
-
-
-def ir_from_dict(d: dict) -> TranslationIR:
-    ir = TranslationIR()
-    ir.functions = [function_from_dict(f) for f in d["functions"]]
-    for klass, simple, roles in d["decl_roles"]:
-        ir.decl_roles[(klass, simple)] = set(roles)
-    ir.seq_cst_sites = [(rel, line) for rel, line in d["seq_cst_sites"]]
-    return ir

@@ -28,10 +28,9 @@ check for executions that actually happen:
 
 The field policy is ``tools/ownership_policy.json``, generated from the
 constexpr ownership tables by ``tools/flipc_ownership_export`` (a drift
-ctest keeps the two in lockstep). Facts come from one of two
-interchangeable frontends producing the same IR: libclang when installed
-(``--frontend clang``), else a dependency-free token parser
-(``--frontend tokparse``); ``--frontend auto`` picks the best available.
+ctest keeps the two in lockstep). Facts come from a dependency-free token
+parser (tokparse_frontend.py); the whole tree re-parses in well under a
+second, so nothing is cached.
 
 The auditor can also EXPORT the protocol it proved: ``--emit-ir`` writes
 the per-function protocol IR (field, access kind, memory order, role,
@@ -42,11 +41,8 @@ artifacts are checked in and drift-tested like ownership_policy.json).
 
 Usage:
   flipc_static_audit.py --policy tools/ownership_policy.json \
-      --source-root . [--compile-commands build/compile_commands.json] \
-      [--frontend auto|clang|tokparse] [--cache-dir DIR] [--json PATH] \
-      [--emit-ir PATH] [--emit-schedules PATH]
-  flipc_static_audit.py --selftest tools/lint_fixtures/static_audit \
-      [--frontend auto|clang|tokparse]
+      --source-root . [--json PATH] [--emit-ir PATH] [--emit-schedules PATH]
+  flipc_static_audit.py --selftest tools/lint_fixtures/static_audit
 
 Exit status: 0 clean, 1 violations (or fixture expectation failures),
 2 usage/environment errors.
@@ -55,7 +51,6 @@ Exit status: 0 clean, 1 violations (or fixture expectation failures),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -66,7 +61,6 @@ from dataclasses import dataclass
 if __package__ in (None, ""):  # running as a plain script
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from flipc_static_audit import (
-        clang_frontend,
         cpp_lexer,
         hotpath_scan,
         schedule_gen,
@@ -78,30 +72,21 @@ if __package__ in (None, ""):  # running as a plain script
         CELL_WRITE_OPS,
         ROLE_QUIESCENT,
         TranslationIR,
-        ir_from_dict,
-        ir_to_dict,
         op_is_write,
     )
 else:
-    from . import clang_frontend, cpp_lexer, hotpath_scan, schedule_gen, tokparse_frontend
+    from . import cpp_lexer, hotpath_scan, schedule_gen, tokparse_frontend
     from .audit_ir import (
         ASSIGN_OP,
         CELL_READ_OPS,
         CELL_WRITE_OPS,
         ROLE_QUIESCENT,
         TranslationIR,
-        ir_from_dict,
-        ir_to_dict,
         op_is_write,
     )
 
 AUDITED_DIRS = ("src/base", "src/engine", "src/flipc", "src/shm", "src/waitfree")
 AUDITED_EXTS = (".h", ".cc")
-
-# Bump whenever the IR shape or any rule-relevant extraction changes: the
-# content-hash cache stores extracted facts keyed by (schema, frontend,
-# file content), so a schema bump invalidates every entry at once.
-CACHE_SCHEMA = "flipc-audit-v2"
 
 # The protocol-IR export covers the wait-free protocol structures.
 PROTOCOL_IR_PREFIX = "src/waitfree/"
@@ -557,7 +542,7 @@ def run_closure_rules(ir: TranslationIR) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Per-file facts (frontend output + token rules input) and the cache
+# Per-file facts (frontend output + token rules input)
 # --------------------------------------------------------------------------
 
 
@@ -568,7 +553,7 @@ class FileFacts:
     seq_sites: list[tuple[str, int]]
 
 
-def _seq_cst_sites(rel: str, tokens) -> list[tuple[str, int]]:
+def _find_seq_cst(rel: str, tokens) -> list[tuple[str, int]]:
     sites = []
     for i, t in enumerate(tokens):
         if t.text == "memory_order_seq_cst":
@@ -583,108 +568,23 @@ def _seq_cst_sites(rel: str, tokens) -> list[tuple[str, int]]:
     return sites
 
 
-def _extract_file_facts(
-    frontend: str,
-    rel: str,
-    abspath: str,
-    text: str,
-    compile_commands: str | None,
-    root: str,
-) -> FileFacts:
-    tokens = cpp_lexer.lex(text)
-    ir = TranslationIR()
-    if frontend == "clang":
-        clang_frontend.load_one(rel, abspath, ir, compile_commands, root)
-    else:
-        tokparse_frontend._FileParser(rel, tokens, ir).parse()
-    hot = [(v.file, v.line, v.what) for v in hotpath_scan.scan(rel, tokens)]
-    return FileFacts(ir=ir, hot_violations=hot, seq_sites=_seq_cst_sites(rel, tokens))
-
-
-def _facts_to_doc(facts: FileFacts) -> dict:
-    return {
-        "ir": ir_to_dict(facts.ir),
-        "hot_violations": [[f, l, w] for f, l, w in facts.hot_violations],
-        "seq_sites": [[f, l] for f, l in facts.seq_sites],
-    }
-
-
-def _facts_from_doc(doc: dict) -> FileFacts:
-    return FileFacts(
-        ir=ir_from_dict(doc["ir"]),
-        hot_violations=[(f, l, w) for f, l, w in doc["hot_violations"]],
-        seq_sites=[(f, l) for f, l in doc["seq_sites"]],
-    )
-
-
-def _cache_key(frontend: str, rel: str, content: bytes, extra: bytes) -> str:
-    h = hashlib.sha256()
-    for part in (CACHE_SCHEMA.encode(), frontend.encode(), rel.encode(), extra):
-        h.update(part)
-        h.update(b"\0")
-    h.update(content)
-    return h.hexdigest()
-
-
-def gather_facts(
-    paths: list[tuple[str, str]],
-    frontend: str,
-    compile_commands: str | None,
-    root: str,
-    cache_dir: str | None = None,
-) -> tuple[list[tuple[str, FileFacts]], dict]:
-    """Extracts FileFacts for every audited file, consulting the
-    content-hash cache when ``cache_dir`` is set. A cache entry is keyed by
-    sha256(schema, frontend, relpath, compile-commands digest, file bytes),
-    so ANY change to the source (or to the extraction schema, or — for the
-    clang frontend — to the compile flags) misses and re-parses; unchanged
-    files deserialize their facts instead of re-parsing."""
-    stats = {"hits": 0, "misses": 0}
-    extra = b""
-    if (
-        frontend == "clang"
-        and compile_commands
-        and os.path.exists(compile_commands)
-    ):
-        with open(compile_commands, "rb") as f:
-            extra = hashlib.sha256(f.read()).digest()
+def gather_facts(paths: list[tuple[str, str]]) -> list[tuple[str, FileFacts]]:
+    """Lexes and parses every (relpath, abspath) into its FileFacts."""
     out: list[tuple[str, FileFacts]] = []
     for rel, abspath in paths:
-        with open(abspath, "rb") as f:
-            content = f.read()
-        facts: FileFacts | None = None
-        cpath = None
-        if cache_dir:
-            cpath = os.path.join(
-                cache_dir, _cache_key(frontend, rel, content, extra) + ".json"
-            )
-            if os.path.exists(cpath):
-                try:
-                    with open(cpath, "r", encoding="utf-8") as f:
-                        facts = _facts_from_doc(json.load(f))
-                    stats["hits"] += 1
-                except (OSError, ValueError, KeyError, TypeError):
-                    facts = None  # corrupt entry: fall through to re-parse
-        if facts is None:
-            facts = _extract_file_facts(
-                frontend, rel, abspath, content.decode("utf-8"),
-                compile_commands, root,
-            )
-            stats["misses"] += 1
-            if cpath:
-                os.makedirs(cache_dir, exist_ok=True)
-                tmp = cpath + f".tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as f:
-                    json.dump(_facts_to_doc(facts), f)
-                os.replace(tmp, cpath)
-        out.append((rel, facts))
-    return out, stats
+        with open(abspath, "r", encoding="utf-8") as f:
+            tokens = cpp_lexer.lex(f.read())
+        ir = TranslationIR()
+        tokparse_frontend._FileParser(rel, tokens, ir).parse()
+        hot = [(v.file, v.line, v.what) for v in hotpath_scan.scan(rel, tokens)]
+        out.append((rel, FileFacts(ir, hot, _find_seq_cst(rel, tokens))))
+    return out
 
 
 def run_token_rules(
     facts: list[tuple[str, FileFacts]], policy: Policy
 ) -> list[Finding]:
-    """Frontend-independent whole-file rules: seq_cst confinement and
+    """Whole-file token rules: seq_cst confinement and
     hot-path purity (per-scope, per-line attribution)."""
     findings: list[Finding] = []
     seq_total_in_allowed = 0
@@ -808,19 +708,6 @@ def collect_sources(root: str) -> list[tuple[str, str]]:
     return out
 
 
-def pick_frontends(requested: str) -> list[str]:
-    if requested == "auto":
-        return ["clang"] if clang_frontend.available() else ["tokparse"]
-    if requested == "clang" and not clang_frontend.available():
-        print(
-            "flipc_static_audit: --frontend clang requested but python "
-            "clang bindings/libclang are unavailable",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return [requested]
-
-
 def merge_facts(facts: list[tuple[str, FileFacts]]) -> TranslationIR:
     ir = TranslationIR()
     for _rel, f in facts:
@@ -829,19 +716,14 @@ def merge_facts(facts: list[tuple[str, FileFacts]]) -> TranslationIR:
 
 
 def audit_paths(
-    paths: list[tuple[str, str]],
-    policy: Policy,
-    frontend: str,
-    compile_commands: str | None,
-    root: str,
-    cache_dir: str | None = None,
-) -> tuple[list[Finding], TranslationIR, dict]:
-    facts, stats = gather_facts(paths, frontend, compile_commands, root, cache_dir)
+    paths: list[tuple[str, str]], policy: Policy
+) -> tuple[list[Finding], TranslationIR]:
+    facts = gather_facts(paths)
     ir = merge_facts(facts)
     findings = run_rules(ir, policy)
     findings.extend(run_closure_rules(ir))
     findings.extend(run_token_rules(facts, policy))
-    return sorted(set(findings), key=str), ir, stats
+    return sorted(set(findings), key=str), ir
 
 
 def wait_site_census(ir: TranslationIR) -> dict:
@@ -856,25 +738,18 @@ def wait_site_census(ir: TranslationIR) -> dict:
 
 
 def write_json_report(
-    path: str,
-    findings: list[Finding],
-    ir: TranslationIR,
-    frontend: str,
-    nfiles: int,
-    cache_stats: dict,
+    path: str, findings: list[Finding], ir: TranslationIR, nfiles: int
 ) -> None:
     by_rule: dict[str, int] = defaultdict(int)
     for f in findings:
         by_rule[f.rule] += 1
     doc = {
         "version": 1,
-        "frontend": frontend,
         "files": nfiles,
         "ok": not findings,
         "findings": [f.to_json() for f in findings],
         "summary": {"total": len(findings), "by_rule": dict(sorted(by_rule.items()))},
         "unbounded_wait_sites": wait_site_census(ir),
-        "cache": cache_stats,
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
@@ -919,12 +794,10 @@ def _collect_fixtures(fixture_dir: str):
 def _fixture_ir_drift(
     files: list[tuple[str, str]], policy: Policy, expected_ir: str
 ) -> list[Finding]:
-    """IR export over a fixture group vs its checked-in expectation. Always
-    uses the tokparse frontend: the export artifact is defined to be
-    tokparse output (deterministic and dependency-free), whichever frontend
-    audits."""
-    facts, _ = gather_facts(files, "tokparse", None, ".", None)
-    got = protocol_ir_text(build_protocol_ir(merge_facts(facts), policy, None))
+    """IR export over a fixture group vs its checked-in expectation."""
+    got = protocol_ir_text(
+        build_protocol_ir(merge_facts(gather_facts(files)), policy, None)
+    )
     with open(expected_ir, "r", encoding="utf-8") as f:
         want = f.read()
     if got == want:
@@ -941,7 +814,7 @@ def _fixture_ir_drift(
     ]
 
 
-def run_selftest(fixture_dir: str, frontends: list[str]) -> int:
+def run_selftest(fixture_dir: str) -> int:
     policy_path = os.path.join(fixture_dir, "mini_policy.json")
     if not os.path.exists(policy_path):
         print(f"selftest: missing {policy_path}", file=sys.stderr)
@@ -953,52 +826,41 @@ def run_selftest(fixture_dir: str, frontends: list[str]) -> int:
         return 2
 
     failures = 0
-    for frontend in frontends:
-        for name, files, expected_ir in units:
-            expects: list[str] = []
-            for _rel, abspath in files:
-                with open(abspath, "r", encoding="utf-8") as f:
-                    expects.extend(_EXPECT_RE.findall(f.read()))
-            findings, _ir, _stats = audit_paths(
-                files, policy, frontend, None, fixture_dir
-            )
-            if expected_ir is not None:
-                findings = findings + _fixture_ir_drift(files, policy, expected_ir)
-            errors = [str(f) for f in findings]
-            clean = "_clean" in name
-            if clean:
-                if expects:
-                    print(f"selftest[{frontend}] {name}: clean fixture carries "
-                          f"AUDIT-EXPECT lines")
-                    failures += 1
-                if errors:
-                    print(f"selftest[{frontend}] {name}: expected no findings, got:")
-                    for e in errors:
-                        print(f"  {e}")
-                    failures += 1
-                continue
-            if not expects:
-                print(f"selftest[{frontend}] {name}: bad fixture declares no "
-                      f"AUDIT-EXPECT lines")
+    for name, files, expected_ir in units:
+        expects: list[str] = []
+        for _rel, abspath in files:
+            with open(abspath, "r", encoding="utf-8") as f:
+                expects.extend(_EXPECT_RE.findall(f.read()))
+        findings, _ir = audit_paths(files, policy)
+        if expected_ir is not None:
+            findings = findings + _fixture_ir_drift(files, policy, expected_ir)
+        errors = [str(f) for f in findings]
+        if "_clean" in name:
+            if expects:
+                print(f"selftest {name}: clean fixture carries AUDIT-EXPECT lines")
                 failures += 1
-                continue
-            for want in expects:
-                if not any(want in e for e in errors):
-                    print(f"selftest[{frontend}] {name}: no finding matches "
-                          f"AUDIT-EXPECT '{want}'")
-                    failures += 1
-            for e in errors:
-                if not any(want in e for want in expects):
-                    print(f"selftest[{frontend}] {name}: unexpected finding: {e}")
-                    failures += 1
+            if errors:
+                print(f"selftest {name}: expected no findings, got:")
+                for e in errors:
+                    print(f"  {e}")
+                failures += 1
+            continue
+        if not expects:
+            print(f"selftest {name}: bad fixture declares no AUDIT-EXPECT lines")
+            failures += 1
+            continue
+        for want in expects:
+            if not any(want in e for e in errors):
+                print(f"selftest {name}: no finding matches AUDIT-EXPECT '{want}'")
+                failures += 1
+        for e in errors:
+            if not any(want in e for want in expects):
+                print(f"selftest {name}: unexpected finding: {e}")
+                failures += 1
     if failures:
         print(f"selftest: {failures} failure(s)")
         return 1
-    total = len(units) * len(frontends)
-    print(
-        f"selftest: OK — {total} fixture run(s) across "
-        f"frontend(s) {', '.join(frontends)}"
-    )
+    print(f"selftest: OK — {len(units)} fixture run(s)")
     return 0
 
 
@@ -1009,15 +871,6 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(prog="flipc_static_audit")
     ap.add_argument("--policy", help="ownership_policy.json path")
     ap.add_argument("--source-root", default=".", help="repository root")
-    ap.add_argument("--compile-commands", default=None)
-    ap.add_argument(
-        "--frontend", choices=("auto", "clang", "tokparse"), default="auto"
-    )
-    ap.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-hash cache directory (skip re-parsing unchanged files)",
-    )
     ap.add_argument(
         "--json",
         metavar="PATH",
@@ -1028,7 +881,7 @@ def main(argv: list[str]) -> int:
         "--emit-ir",
         metavar="PATH",
         default=None,
-        help="write the src/waitfree protocol IR (always tokparse-derived)",
+        help="write the src/waitfree protocol IR",
     )
     ap.add_argument(
         "--emit-schedules",
@@ -1044,13 +897,7 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
 
     if args.selftest:
-        if args.frontend == "auto":
-            frontends = ["tokparse"] + (
-                ["clang"] if clang_frontend.available() else []
-            )
-        else:
-            frontends = pick_frontends(args.frontend)
-        return run_selftest(args.selftest, frontends)
+        return run_selftest(args.selftest)
 
     if not args.policy:
         ap.error("--policy is required (or use --selftest)")
@@ -1064,21 +911,10 @@ def main(argv: list[str]) -> int:
     if not paths:
         print(f"flipc_static_audit: no sources under {root}", file=sys.stderr)
         return 2
-    (frontend,) = pick_frontends(args.frontend)
-    findings, ir, stats = audit_paths(
-        paths, policy, frontend, args.compile_commands, root, args.cache_dir
-    )
+    findings, ir = audit_paths(paths, policy)
 
     if args.emit_ir or args.emit_schedules:
-        # The export artifacts are defined as tokparse output: byte-stable,
-        # dependency-free, identical in every environment regardless of
-        # which frontend ran the audit.
-        if frontend == "tokparse":
-            export_ir = ir
-        else:
-            tok_facts, _ = gather_facts(paths, "tokparse", None, root, args.cache_dir)
-            export_ir = merge_facts(tok_facts)
-        ir_doc = build_protocol_ir(export_ir, policy)
+        ir_doc = build_protocol_ir(ir, policy)
         if args.emit_ir:
             with open(args.emit_ir, "w", encoding="utf-8") as f:
                 f.write(protocol_ir_text(ir_doc))
@@ -1092,24 +928,19 @@ def main(argv: list[str]) -> int:
                 f.write(header)
 
     if args.json:
-        write_json_report(args.json, findings, ir, frontend, len(paths), stats)
+        write_json_report(args.json, findings, ir, len(paths))
 
     if findings:
         for f in findings:
             print(f)
         print(
-            f"flipc_static_audit[{frontend}]: {len(findings)} violation(s) "
+            f"flipc_static_audit: {len(findings)} violation(s) "
             f"across {len(paths)} file(s)"
         )
         return 1
-    cache_note = (
-        f", cache {stats['hits']} hit(s)/{stats['misses']} miss(es)"
-        if args.cache_dir
-        else ""
-    )
     print(
-        f"flipc_static_audit[{frontend}]: OK — {len(paths)} file(s), "
-        f"{len(policy.fields)} policy field(s), 0 violations{cache_note}"
+        f"flipc_static_audit: OK — {len(paths)} file(s), "
+        f"{len(policy.fields)} policy field(s), 0 violations"
     )
     return 0
 

@@ -9,8 +9,11 @@ level:
     ``try`` / ``catch``;
   * OS-blocking synchronization types: ``std::mutex`` and friends,
     ``std::condition_variable``;
-  * direct calls to the blocking libc/pthread functions that the post-link
-    nm lint (tools/flipc_hotpath_lint.cc) also rejects.
+  * direct calls to the C allocator and to the blocking libc/pthread
+    functions that the post-link nm lint (tools/flipc_hotpath_lint.cc) also
+    rejects. The runtime guard hooks only ``operator new``, and the nm lint
+    lets ``nolock`` TUs allocate, so in those TUs this scan is the only
+    check that sees a ``malloc`` in a hot scope.
 
 FLIPC_HOT_PATH_EXEMPT re-permits the *rest of its enclosing block* — the
 static analog of the runtime ScopedHotPath(kExempt) guard; cold error
@@ -50,8 +53,21 @@ BANNED_TYPES = {
     "condition_variable_any": "std::condition_variable_any in a hot-path scope",
 }
 
-# Mirrors kLockSymbols/kBlockingSymbols in tools/flipc_hotpath_lint.cc.
-BANNED_CALLS = {
+# Mirrors the C allocator family of kAllocSymbols in
+# tools/flipc_hotpath_lint.cc, plus free.
+ALLOC_CALLS = {
+    "malloc",
+    "calloc",
+    "realloc",
+    "aligned_alloc",
+    "posix_memalign",
+    "memalign",
+    "valloc",
+    "free",
+}
+
+# ALLOC_CALLS plus mirrors of kLockSymbols/kBlockingSymbols.
+BANNED_CALLS = ALLOC_CALLS | {
     "pthread_mutex_lock",
     "pthread_mutex_trylock",
     "pthread_mutex_timedlock",
@@ -81,6 +97,11 @@ BANNED_CALLS = {
     "pause",
     "sigwait",
 }
+
+
+def banned_call_what(name: str) -> str:
+    kind = "C allocator" if name in ALLOC_CALLS else "blocking"
+    return f"{kind} call {name}()"
 
 
 @dataclass(frozen=True)
@@ -139,10 +160,7 @@ def scan(rel: str, tokens: list[Token]) -> list[HotPathViolation]:
                     and nxt == "("
                     and prev not in (".", "->")
                 ):
-                    violations.append(
-                        HotPathViolation(
-                            rel, t.line, f"blocking call {text}() in a hot-path scope"
-                        )
-                    )
+                    what = f"{banned_call_what(text)} in a hot-path scope"
+                    violations.append(HotPathViolation(rel, t.line, what))
         i += 1
     return violations

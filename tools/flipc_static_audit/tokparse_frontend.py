@@ -1,16 +1,16 @@
-"""Dependency-free frontend: lowers C++ sources to the audit IR by token
+"""The auditor's frontend: lowers C++ sources to the audit IR by token
 parsing.
 
-This frontend exists because libclang is not guaranteed in every build
-environment, and the auditor gates CI — it must be able to run anywhere the
-repo builds. It is a heuristic parser tuned to this codebase's style
-(Google C++, no macro-generated functions in the audited files); the
-libclang frontend (clang_frontend.py) extracts the same IR from the real
-AST when available, and the fixture self-test runs against both.
+It is dependency-free, so the auditor runs anywhere the repo builds, and
+deterministic, so the protocol-IR export is byte-stable. It is a heuristic
+parser tuned to this codebase's style (Google C++, no macro-generated
+functions in the audited files); the fixture self-test pins down that the
+shapes below are in fact extracted.
 
 Recognized shapes:
   * namespace / class / struct scopes (for qualified names and the
-    class-scoped alias table);
+    class-scoped alias table), including heads that carry attribute macros
+    (`class FLIPC_CAPABILITY("TasLock") TasLock`);
   * function definitions, incl. out-of-line `Klass::Method(...) { ... }`
     and constructors with member-initializer lists;
   * FLIPC_ROLE_* macros on declarations and definitions;
@@ -21,15 +21,14 @@ Recognized shapes:
 
 Lambdas are scanned as part of the enclosing function body. Unparsable
 constructs are skipped, never fatal: the auditor's job is the audited
-subset of the tree, and the self-test pins down that the shapes above are
-in fact extracted.
+subset of the tree.
 """
 
 from __future__ import annotations
 
 import re
 
-from . import cpp_lexer, hotpath_scan
+from . import hotpath_scan
 from .audit_ir import (
     ASSIGN_OP,
     CELL_READ_OPS,
@@ -55,6 +54,7 @@ _WAIT_MARKER = "FLIPC_UNBOUNDED_WAIT"
 # Identifiers that look like compile-time constants: kCamelCase constants
 # and ALL_CAPS macros/enumerators.
 _CONST_IDENT_RE = re.compile(r"(?:k[A-Z]\w*|[A-Z][A-Z0-9_]+)$")
+_MACRO_IDENT_RE = re.compile(r"[A-Z][A-Z0-9_]+$")
 
 _NOT_A_CALL = {
     "if",
@@ -186,12 +186,22 @@ class _FileParser:
         name = ""
         while j < hi:
             t = self._text(j)
-            if self._kind(j) == IDENT and t not in ("final", "alignas"):
-                if not name:
+            if not name and self._kind(j) == IDENT:
+                nxt = self._text(j + 1)
+                if nxt == "(":
+                    # alignas(64) or an attribute macro: FLIPC_CAPABILITY("X")
+                    j = match_group(self.toks, j + 1) + 1
+                    continue
+                if (
+                    _MACRO_IDENT_RE.fullmatch(t)
+                    and self._kind(j + 1) == IDENT
+                    and nxt != "final"
+                ):
+                    j += 1  # bare attribute macro: FLIPC_SCOPED_CAPABILITY
+                    continue
+                if t != "final":
                     name = t
-            if t == "alignas" and self._text(j + 1) == "(":
-                j = match_group(self.toks, j + 1)
-            elif t == "<":
+            if t == "<":
                 j = self._skip_template_args(j) - 1
             elif t == "{":
                 end = match_group(self.toks, j)
@@ -617,13 +627,11 @@ class _FileParser:
                     ):
                         fn.impurities.append(
                             Impurity(
-                                what=f"blocking call {text}()",
+                                what=hotpath_scan.banned_call_what(text),
                                 file=self.rel,
                                 line=t.line,
                             )
                         )
-                if text == "memory_order_seq_cst":
-                    self.ir.seq_cst_sites.append((self.rel, t.line))
                 if nxt == "(":
                     if text in CELL_WRITE_OPS or text in CELL_READ_OPS:
                         if prev in (".", "->"):
@@ -715,15 +723,3 @@ class _FileParser:
             i += 1
         fn.calls = sorted(calls)
 
-
-def parse_source(rel: str, text: str, ir: TranslationIR) -> None:
-    _FileParser(rel, cpp_lexer.lex(text), ir).parse()
-
-
-def load(paths: list[tuple[str, str]]) -> TranslationIR:
-    """paths: (relative-name, absolute-path) pairs."""
-    ir = TranslationIR()
-    for rel, abspath in paths:
-        with open(abspath, "r", encoding="utf-8") as f:
-            parse_source(rel, f.read(), ir)
-    return ir

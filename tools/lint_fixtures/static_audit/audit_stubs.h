@@ -1,26 +1,18 @@
 // Self-contained stand-ins for the FLIPC primitives the static-audit
-// fixtures exercise. The fixtures must (a) parse under the dependency-free
-// token frontend, which keys on the macro and method NAMES, and (b) compile
-// under the libclang frontend, which needs real declarations. This header
-// supplies both without pulling in the repo's src/ tree, so a fixture's
-// findings come from the fixture alone.
+// fixtures exercise. The auditor's token frontend keys on the macro and
+// method NAMES; the real declarations here keep the fixtures compilable C++
+// without pulling in the repo's src/ tree, so a fixture's findings come from
+// the fixture alone.
 #ifndef TOOLS_LINT_FIXTURES_STATIC_AUDIT_AUDIT_STUBS_H_
 #define TOOLS_LINT_FIXTURES_STATIC_AUDIT_AUDIT_STUBS_H_
 
 #include <atomic>
 #include <mutex>
 
-#if defined(__clang__)
-#define FLIPC_ROLE_APP __attribute__((annotate("flipc_role_app")))
-#define FLIPC_ROLE_ENGINE __attribute__((annotate("flipc_role_engine")))
-#define FLIPC_ROLE_ENGINE_SHARD __attribute__((annotate("flipc_role_engine_shard")))
-#define FLIPC_ROLE_QUIESCENT __attribute__((annotate("flipc_role_quiescent")))
-#else
 #define FLIPC_ROLE_APP
 #define FLIPC_ROLE_ENGINE
 #define FLIPC_ROLE_ENGINE_SHARD
 #define FLIPC_ROLE_QUIESCENT
-#endif
 
 #define FLIPC_HOT_PATH(label) ((void)0)
 #define FLIPC_HOT_PATH_IF(armed, label) ((void)0)

@@ -1,4 +1,6 @@
 // Rule 3 (hot-path purity) — seeded violations the auditor must reject.
+#include <cstdlib>
+
 #include "audit_stubs.h"
 
 int Allocates(int x) {
@@ -6,6 +8,17 @@ int Allocates(int x) {
   if (x == 1) {
     int* scratch = new int(3);  // AUDIT-EXPECT: dynamic allocation (new)
     delete scratch;             // AUDIT-EXPECT: dynamic deallocation (delete)
+  }
+  return x;
+}
+
+// The C allocator: the runtime guard hooks only operator new, and the nm
+// lint lets `nolock` TUs allocate, so this scan is what catches it there.
+int CAllocates(int x) {
+  FLIPC_HOT_PATH("fixture-c-alloc");
+  if (x == 5) {
+    void* scratch = std::malloc(16);  // AUDIT-EXPECT: C allocator call malloc()
+    std::free(scratch);               // AUDIT-EXPECT: C allocator call free()
   }
   return x;
 }

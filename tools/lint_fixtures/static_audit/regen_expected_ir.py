@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate expected_ir.json for the ir_drift_* fixture groups.
 
-The selftest byte-compares the tokparse IR export over each group against
+The selftest byte-compares the IR export over each group against
 its checked-in expected_ir.json (the protocol-drift rule's fixture). After
 deliberately changing a group's .cc files, rerun this script from the repo
 root; ir_drift_bad's expectation is NOT regenerated — it is intentionally
@@ -25,8 +25,7 @@ for group in GROUPS:
         for f in sorted(os.listdir(gdir))
         if f.endswith(".cc")
     ]
-    facts, _ = audit.gather_facts(files, "tokparse", None, ".", None)
-    ir = audit.merge_facts(facts)
+    ir = audit.merge_facts(audit.gather_facts(files))
     text = audit.protocol_ir_text(audit.build_protocol_ir(ir, policy, None))
     out = os.path.join(gdir, "expected_ir.json")
     with open(out, "w", encoding="utf-8") as f:

@@ -15,7 +15,6 @@
 execute_process(COMMAND ${PYTHON} ${AUDIT_TOOL}
                         --policy ${POLICY}
                         --source-root ${SOURCE_ROOT}
-                        --frontend tokparse
                         --emit-ir ${FRESH_IR}
                         --emit-schedules ${FRESH_SCHEDULES}
                 RESULT_VARIABLE _rc)
