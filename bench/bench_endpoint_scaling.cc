@@ -22,26 +22,10 @@
 // test (lost-doorbell recovery has its own tests and model-checker
 // schedules); in the no-doorbell arm the no-candidate sweep already runs
 // on every plan.
-// Sharded mode (--shards=N [--endpoints=M]): N shard planners over one
-// communication buffer, each on its own thread, driving disjoint endpoint
-// ranges against per-shard null wires. Reports aggregate msgs/s, per-shard
-// visit counts, and scaling efficiency vs the 1-shard baseline (the tentpole
-// measurement for DESIGN.md §12).
-#include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <string>
-#include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "bench/bench_common.h"
 #include "src/engine/messaging_engine.h"
@@ -230,276 +214,11 @@ void Run(JsonReport& report) {
   report.AddMetric("doorbell_visits_spread", spread, "ratio");
 }
 
-// ======================= Sharded throughput mode ===========================
-
-// Bench-local wire: counts sends and delivers nothing, so the measurement is
-// pure planner work (doorbell pop, queue ops, packetization) with nothing
-// shared between shards — no fabric lock can flatten the scaling curve.
-class NullWire final : public simnet::Wire {
- public:
-  Status Send(simnet::Packet packet) override {
-    (void)packet;
-    ++sent_;
-    return OkStatus();
-  }
-  bool Poll(simnet::Packet*) override { return false; }
-  std::size_t PendingCount() const override { return 0; }
-  NodeId node() const override { return 0; }
-  std::uint64_t sent() const { return sent_; }
-
- private:
-  std::uint64_t sent_ = 0;
-};
-
-void PinThisThread(unsigned cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
-constexpr std::uint32_t kShardSendersTotal = 64;
-constexpr std::uint32_t kShardQueueDepth = 8;
-constexpr std::uint32_t kShardRoundsMax = 4096;
-constexpr std::uint32_t kShardRoundsMin = 16;
-constexpr double kShardMinTimedSeconds = 0.2;
-
-struct ShardArmResult {
-  double msgs_per_sec = 0;
-  std::vector<double> visits_per_msg;   // per shard
-  std::vector<std::uint64_t> shard_msgs;  // per shard
-};
-
-// Round-based: the main thread refills every sender queue (untimed), then
-// releases all shard planner threads through a barrier and times them until
-// each has drained its shard's round quota. Refill being untimed keeps the
-// app side off the measured critical path, so the number is planner
-// throughput, comparable across shard counts on a small machine.
-ShardArmResult RunShardArm(std::uint32_t shards, std::uint32_t endpoints) {
-  shm::CommBufferConfig config;
-  config.message_size = 128;
-  config.buffer_count = kShardSendersTotal * kShardQueueDepth + 64;
-  config.max_endpoints = endpoints;
-  config.shard_count = shards;
-  auto comm_result = shm::CommBuffer::Create(config);
-  if (!comm_result.ok()) {
-    std::fprintf(stderr, "FATAL: comm buffer creation failed (shards=%u endpoints=%u): %s\n",
-                 shards, endpoints, comm_result.status().ToString().c_str());
-    std::abort();
-  }
-  shm::CommBuffer& comm = **comm_result;
-
-  std::vector<std::unique_ptr<NullWire>> wires;
-  std::vector<std::unique_ptr<engine::MessagingEngine>> engines;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    wires.push_back(std::make_unique<NullWire>());
-    engine::EngineOptions options;
-    options.backstop_interval = 0;  // see file header: doorbells never lost here
-    options.shard_id = s;
-    engines.push_back(std::make_unique<engine::MessagingEngine>(comm, *wires.back(), options));
-    engines.back()->SetClock(&RealClock::Instance());
-  }
-
-  // Senders spread round-robin across shards; each owns kShardQueueDepth
-  // dedicated buffers, recycled every round.
-  const std::uint32_t per_shard = kShardSendersTotal / shards;
-  struct Sender {
-    std::uint32_t index = 0;
-    std::uint32_t shard = 0;
-    waitfree::BufferIndex buffers[kShardQueueDepth];
-  };
-  std::vector<Sender> senders(kShardSendersTotal);
-  for (std::uint32_t i = 0; i < kShardSendersTotal; ++i) {
-    shm::CommBuffer::EndpointParams params;
-    params.type = shm::EndpointType::kSend;
-    params.queue_capacity = kShardQueueDepth;
-    params.shard = i % shards;
-    auto index = comm.AllocateEndpoint(params);
-    if (!index.ok()) {
-      std::fprintf(stderr, "FATAL: sender allocation failed\n");
-      std::abort();
-    }
-    senders[i].index = *index;
-    senders[i].shard = i % shards;
-    for (std::uint32_t d = 0; d < kShardQueueDepth; ++d) {
-      auto buffer = comm.AllocateBuffer();
-      if (!buffer.ok()) {
-        std::fprintf(stderr, "FATAL: buffer allocation failed\n");
-        std::abort();
-      }
-      senders[i].buffers[d] = *buffer;
-    }
-  }
-  const Address dst(1, 0);  // remote node: every message exits via the wire
-
-  std::barrier round_start(static_cast<std::ptrdiff_t>(shards) + 1);
-  std::barrier round_end(static_cast<std::ptrdiff_t>(shards) + 1);
-  std::atomic<bool> stop{false};
-  std::vector<std::uint64_t> targets(shards, 0);
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<std::thread> threads;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    threads.emplace_back([&, s] {
-      PinThisThread(s % hw_threads);
-      engine::MessagingEngine& eng = *engines[s];
-      for (;;) {
-        round_start.arrive_and_wait();
-        if (stop.load(std::memory_order_acquire)) {
-          return;
-        }
-        const std::uint64_t target = targets[s];
-        while (eng.stats().messages_sent < target) {
-          eng.Step();
-        }
-        round_end.arrive_and_wait();
-      }
-    });
-  }
-
-  double timed_ns = 0;
-  std::uint64_t total_messages = 0;
-  std::uint32_t rounds = 0;
-  while (rounds < kShardRoundsMax &&
-         (timed_ns < kShardMinTimedSeconds * 1e9 || rounds < kShardRoundsMin)) {
-    {
-      // Application phase (untimed): reclaim last round's buffers, refill
-      // each sender's queue, ring the owning shard's doorbell ring.
-      waitfree::ScopedBoundaryRole app(waitfree::Writer::kApplication);
-      for (Sender& sender : senders) {
-        waitfree::BufferQueueView queue = comm.queue(sender.index);
-        for (std::uint32_t d = 0; d < kShardQueueDepth; ++d) {
-          if (rounds > 0 && queue.Acquire() != sender.buffers[d]) {
-            std::fprintf(stderr, "FATAL: buffer did not complete\n");
-            std::abort();
-          }
-          shm::MsgView view = comm.msg(sender.buffers[d]);
-          std::memcpy(view.payload, "sharding", 9);
-          view.header->set_peer_address(dst);
-          view.header->state.Store(waitfree::MsgState::kReady);
-          if (!queue.Release(sender.buffers[d])) {
-            std::fprintf(stderr, "FATAL: refill overflowed sender queue\n");
-            std::abort();
-          }
-          comm.doorbell_ring(sender.shard).Ring(sender.index);
-        }
-      }
-    }
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      targets[s] = engines[s]->stats().messages_sent +
-                   static_cast<std::uint64_t>(per_shard) * kShardQueueDepth;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    round_start.arrive_and_wait();
-    round_end.arrive_and_wait();
-    const auto end = std::chrono::steady_clock::now();
-    timed_ns += std::chrono::duration<double, std::nano>(end - start).count();
-    total_messages += static_cast<std::uint64_t>(kShardSendersTotal) * kShardQueueDepth;
-    ++rounds;
-  }
-  stop.store(true, std::memory_order_release);
-  round_start.arrive_and_wait();
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-
-  ShardArmResult result;
-  result.msgs_per_sec = static_cast<double>(total_messages) / (timed_ns / 1e9);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint64_t msgs = engines[s]->stats().messages_sent;
-    result.shard_msgs.push_back(msgs);
-    result.visits_per_msg.push_back(
-        msgs == 0 ? 0.0
-                  : static_cast<double>(engines[s]->stats().endpoints_visited) /
-                        static_cast<double>(msgs));
-  }
-  return result;
-}
-
-void RunSharded(JsonReport& report, std::uint32_t shards, std::uint32_t endpoints) {
-  PrintHeader("sharded engine scaling: bench_endpoint_scaling --shards",
-              "DESIGN.md §12 (per-shard planners over a shared transmit backend)",
-              "aggregate planner throughput scales with the shard count");
-
-  if (endpoints % shards != 0 || kShardSendersTotal % shards != 0) {
-    std::fprintf(stderr,
-                 "FATAL: --shards=%u must divide --endpoints=%u and the %u bench senders\n",
-                 shards, endpoints, kShardSendersTotal);
-    std::exit(1);
-  }
-
-  const ShardArmResult baseline = RunShardArm(1, endpoints);
-  const ShardArmResult sharded = shards == 1 ? baseline : RunShardArm(shards, endpoints);
-  const double scaling = sharded.msgs_per_sec / baseline.msgs_per_sec;
-  const double efficiency = scaling / static_cast<double>(shards);
-
-  std::uint64_t sharded_total = 0;
-  for (const std::uint64_t msgs : sharded.shard_msgs) {
-    sharded_total += msgs;
-  }
-  TextTable table({"shard", "messages", "visits/msg", "msgs/s (share)"});
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const double share = sharded.msgs_per_sec *
-                         static_cast<double>(sharded.shard_msgs[s]) /
-                         static_cast<double>(sharded_total);
-    table.AddRow({std::to_string(s), std::to_string(sharded.shard_msgs[s]),
-                  TextTable::Num(sharded.visits_per_msg[s]), TextTable::Num(share)});
-  }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf("1-shard baseline: %.0f msgs/s\n", baseline.msgs_per_sec);
-  std::printf("%u-shard aggregate: %.0f msgs/s (%.2fx, efficiency %.2f)\n", shards,
-              sharded.msgs_per_sec, scaling, efficiency);
-
-  // CI gate: 2 planners must beat 1 by at least 1.5x on the same buffer
-  // (the acceptance floor; 4 shards on 4 cores should reach ~3x).
-  if (shards >= 2 && scaling < 1.5) {
-    std::printf("[MISMATCH] sharded scaling %.2fx at %u shards (floor 1.5x)\n", scaling,
-                shards);
-  } else {
-    std::printf("[OK] sharded scaling %.2fx at %u shards\n", scaling, shards);
-  }
-
-  report.AddConfig("shards", static_cast<double>(shards));
-  report.AddConfig("endpoints", static_cast<double>(endpoints));
-  report.AddConfig("active_senders", static_cast<double>(kShardSendersTotal));
-  report.AddMetric("baseline_msgs_per_sec", baseline.msgs_per_sec, "msgs/s");
-  report.AddMetric("aggregate_msgs_per_sec", sharded.msgs_per_sec, "msgs/s");
-  report.AddMetric("scaling", scaling, "x");
-  report.AddMetric("scaling_efficiency", efficiency, "ratio");
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "shard_visits_per_msg_s%u", s);
-    report.AddMetric(name, sharded.visits_per_msg[s], "endpoints");
-    std::snprintf(name, sizeof(name), "shard_messages_s%u", s);
-    report.AddMetric(name, static_cast<double>(sharded.shard_msgs[s]), "msgs");
-  }
-}
-
 }  // namespace
 }  // namespace flipc::bench
 
 int main(int argc, char** argv) {
-  std::uint32_t shards = 0;
-  // Largest "64k-class" table that both fits the 16-bit endpoint index the
-  // packed Address format allows (max_endpoints <= 0xffff) and divides
-  // evenly into 2/4/8/16 shards.
-  std::uint32_t endpoints = 65280;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--endpoints=", 12) == 0) {
-      endpoints = static_cast<std::uint32_t>(std::atoi(argv[i] + 12));
-    }
-  }
   flipc::bench::JsonReport report(argc, argv, "endpoint_scaling");
-  if (shards > 0) {
-    flipc::bench::RunSharded(report, shards, endpoints);
-  } else {
-    flipc::bench::Run(report);
-  }
+  flipc::bench::Run(report);
   return 0;
 }

@@ -48,17 +48,5 @@ for bench in "${runnable[@]}"; do
   esac
 done
 
-# Sharded-engine scaling sweep (DESIGN.md §12): the same planner workload
-# at 1, 2, and 4 shards. Each run also emits its own 1-shard baseline, so
-# per-shard-count JSONs are self-contained scaling measurements.
-SCALING="$BUILD/bench/bench_endpoint_scaling"
-if [ -x "$SCALING" ]; then
-  for shards in 1 2 4; do
-    echo "==== running bench_endpoint_scaling --shards=$shards ===="
-    "$SCALING" "--shards=$shards" \
-               "--json=$RESULTS/BENCH_endpoint_scaling_${shards}shard.json"
-  done
-fi
-
 echo "JSON results in $RESULTS/:"
 ls "$RESULTS" 2>/dev/null || true

@@ -68,23 +68,12 @@
 //                         endpoint slot is quiescent — the static analogue
 //                         of ScopedBoundaryExemption (CommBuffer::Format,
 //                         AllocateEndpoint)
-//   FLIPC_ROLE_ENGINE_SHARD
-//                         the shard-qualified engine role: engine-side code
-//                         whose writes are additionally confined to one
-//                         shard planner's cells (the SPSC handoff ring, the
-//                         per-shard doorbell head). Statically it is the
-//                         engine role — the auditor proves the writer SIDE;
-//                         the shard dimension is enforced at run time by the
-//                         boundary checker's shard-qualified declarations
-//                         (boundary_check.h: DeclareCellOwner(cell, owner,
-//                         shard, label) + BindCurrentThread(role, shard)).
 //
 // Zero-cost by construction: they expand to nothing. The auditor's token
 // frontend reads the macro names straight from the source. A function may
 // carry more than one role (it runs under either side's closure).
 #define FLIPC_ROLE_APP
 #define FLIPC_ROLE_ENGINE
-#define FLIPC_ROLE_ENGINE_SHARD
 #define FLIPC_ROLE_QUIESCENT
 
 // ---- Progress annotations (tools/flipc_static_audit) -----------------------
@@ -96,8 +85,8 @@
 //
 //   FLIPC_BOUNDED_BY(expr)       placed as the statement immediately before
 //                                a loop: the loop executes at most `expr`
-//                                iterations (a ring/queue capacity, a shard's
-//                                endpoint-range width, a histogram's bucket
+//                                iterations (a ring/queue capacity, the
+//                                endpoint table size, a histogram's bucket
 //                                count). `expr` must name real in-scope state
 //                                — it is syntax-checked (unevaluated), so the
 //                                annotation cannot rot into referring to

@@ -120,20 +120,6 @@ class Histogram {
 
   std::uint64_t total() const { return total_; }
 
-  // Sums `other`'s buckets into this histogram. Both must have identical
-  // bucket configuration; a mismatch merges only the totals (the shapes are
-  // incomparable, so bucket counts are left alone).
-  void Merge(const Histogram& other) {
-    total_ += other.total_;
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    if (lo_ == other.lo_ && hi_ == other.hi_ && counts_.size() == other.counts_.size()) {
-      for (std::size_t i = 0; i < counts_.size(); ++i) {
-        counts_[i] += other.counts_[i];
-      }
-    }
-  }
-
   // Returns the lower edge of the bucket containing quantile q in [0, 1].
   double Quantile(double q) const {
     if (total_ == 0) {

@@ -2,11 +2,6 @@
 
 #include <chrono>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "src/base/hotpath.h"
 #include "src/waitfree/boundary_check.h"
 
@@ -41,45 +36,12 @@ void EngineRunner::Kick() {
   idle_cv_.notify_one();
 }
 
-void EngineRunner::ApplyPlacement() {
-#if defined(__linux__)
-  if (options_.pin_cpu >= 0) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(options_.pin_cpu), &set);
-    // Best-effort: an out-of-range CPU (smaller machine than the assembly
-    // assumed) leaves the thread unpinned rather than failing the node.
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-  }
-#endif
-  if (options_.warm_touch) {
-    // Touch this shard's endpoint-record and telemetry slice from the
-    // (possibly just-pinned) loop thread. Reads suffice: the comm buffer
-    // is already formatted, so this orders no writes — it only pulls the
-    // slice local (first-touch already happened at format; on NUMA hosts
-    // pinning + an eventual kernel migration or a hugepage-local format
-    // policy do the rest).
-    std::uint64_t acc = 0;
-    shm::CommBuffer& comm = engine_.comm();
-    for (std::uint32_t i = engine_.shard_first_endpoint();
-         i < engine_.shard_end_endpoint(); ++i) {
-      acc += comm.endpoint(i).queue_capacity.ReadRelaxed();
-      acc += comm.telemetry(i).engine_transmits.ReadRelaxed();
-    }
-    volatile std::uint64_t sink = acc;
-    (void)sink;
-  }
-}
-
 void EngineRunner::Loop() {
-  // This thread IS the messaging engine — one shard planner of it, when
-  // sharded: register it with the ownership race detector (qualified by
-  // the engine's shard) so any write it makes to an application-owned word
-  // OR another shard's engine-owned word in the communication buffer
-  // aborts with a diagnostic (no-op unless FLIPC_CHECK_SINGLE_WRITER).
-  waitfree::BoundaryRole::BindCurrentThread(waitfree::Writer::kEngine,
-                                            engine_.shard_id());
-  ApplyPlacement();
+  // This thread IS the messaging engine: register it with the ownership
+  // race detector so any write it makes to an application-owned word in
+  // the communication buffer aborts with a diagnostic (no-op unless
+  // FLIPC_CHECK_SINGLE_WRITER).
+  waitfree::BoundaryRole::BindCurrentThread(waitfree::Writer::kEngine);
 
   // Number of consecutive empty polls before parking.
   constexpr int kSpinBudget = 64;

@@ -17,16 +17,6 @@ namespace flipc::engine {
 class EngineRunner {
  public:
   struct Options {
-    // Pin the loop thread to this CPU (Linux only; -1 = unpinned). With the
-    // sharded engine, pinning each shard's planner to its own core keeps a
-    // shard's comm-buffer slice resident in that core's cache — the NUMA
-    // placement half of DESIGN.md §12.
-    int pin_cpu = -1;
-    // Read-touch the engine's endpoint-range slice of the comm buffer from
-    // the loop thread before entering the loop. On first-touch NUMA
-    // systems this faults the shard's pages onto the planner's node; on
-    // UMA hosts it is a cheap cache warm.
-    bool warm_touch = false;
     // Longest the loop parks on its idle condvar before re-polling. The
     // park is capped further by the engine's next unthrottle deadline (see
     // IdleParkNs): a throttled endpoint whose gate lapses sooner than this
@@ -82,9 +72,6 @@ class EngineRunner {
 
  private:
   FLIPC_ROLE_ENGINE void Loop();
-
-  // Placement steps run once at loop start, on the loop thread.
-  void ApplyPlacement();
 
   MessagingEngine& engine_;
   Options options_;

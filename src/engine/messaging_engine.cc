@@ -23,7 +23,6 @@ MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
       options_(options),
       model_(model),
       semaphores_(semaphores),
-      handoff_outboxes_(comm.shard_count(), nullptr),
       seen_generation_(comm.max_endpoints(), 0),
       bucket_tokens_(comm.max_endpoints(), 0),
       bucket_refill_at_(comm.max_endpoints(), 0),
@@ -36,14 +35,6 @@ MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
   // never allocate.
   planned_batch_.reserve(options_.transmit_batch < 1 ? 1 : options_.transmit_batch);
   scratch_ready_.reserve(comm.max_endpoints());
-  if (options_.shard_id >= comm.shard_count()) {
-    FLIPC_LOG(kError) << "engine shard id " << options_.shard_id << " out of range for a "
-                      << comm.shard_count() << "-shard comm buffer; using shard 0";
-    options_.shard_id = 0;
-  }
-  shard_id_ = options_.shard_id;
-  shard_first_ = comm.shard_first_endpoint(shard_id_);
-  shard_end_ = comm.shard_end_endpoint(shard_id_);
 }
 
 Status MessagingEngine::RegisterProtocol(std::uint32_t protocol_id, ProtocolHandler* handler) {
@@ -159,7 +150,7 @@ TimeNs MessagingEngine::NextUnthrottleTime() const {
   }
   const TimeNs now = clock_->NowNs();
   TimeNs earliest = kTimeNever;
-  for (std::uint32_t i = shard_first_; i < shard_end_; ++i) {
+  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     const EndpointRecord& record = comm_.endpoint(i);
     if (record.Type() != EndpointType::kSend || EndpointBlocked(i)) {
       continue;
@@ -193,7 +184,7 @@ void MessagingEngine::ActivateEndpoint(std::uint32_t endpoint) {
 }
 
 void MessagingEngine::DrainDoorbells() {
-  waitfree::DoorbellRingView ring = comm_.doorbell_ring(shard_id_);
+  waitfree::DoorbellRingView ring = comm_.doorbell_ring();
   const std::uint32_t batch = options_.transmit_batch < 1 ? 1 : options_.transmit_batch;
   // Bounded drain keeps the plan a bounded work unit; leftover doorbells
   // stay published for the next plan.
@@ -204,12 +195,10 @@ void MessagingEngine::DrainDoorbells() {
       break;
     }
     ++stats_.doorbells_consumed;
-    if (!comm_.IsValidEndpointIndex(endpoint) || endpoint < shard_first_ ||
-        endpoint >= shard_end_) {
-      // Corrupt or out-of-shard hint from the application side; ignore.
-      // The range check matters: activating a foreign endpoint would later
-      // make THIS planner write another shard's engine-owned cells through
-      // CommitOutboundOne.
+    if (!comm_.IsValidEndpointIndex(endpoint)) {
+      // Corrupt hint from the application side; ignore. The range check
+      // matters: activating an index past the endpoint table would make
+      // CommitOutboundOne read and write outside it.
       continue;
     }
     if (in_active_[endpoint] != 0) {
@@ -222,9 +211,9 @@ void MessagingEngine::DrainDoorbells() {
 
 void MessagingEngine::SweepAllEndpoints() {
   ++stats_.backstop_sweeps;
-  stats_.endpoints_visited += shard_end_ - shard_first_;
-  FLIPC_BOUNDED_BY(shard_end_ - shard_first_);
-  for (std::uint32_t i = shard_first_; i < shard_end_; ++i) {
+  stats_.endpoints_visited += comm_.max_endpoints();
+  FLIPC_BOUNDED_BY(comm_.max_endpoints());
+  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     if (comm_.endpoint(i).Type() != EndpointType::kSend) {
       continue;
     }
@@ -402,16 +391,15 @@ bool MessagingEngine::SelectBatchFromActive() {
 
 void MessagingEngine::PlanOutboundBatch() {
   // Draining the ring publishes ring_head, an engine-owned cell, and
-  // PlanStep is otherwise role-free — bind the engine role (qualified with
-  // this planner's shard: the ring's consumer cursor belongs to it) here.
-  waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine, shard_id_);
+  // PlanStep is otherwise role-free — bind the engine role here.
+  waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine);
   // The whole plan — ring drain, sweeps, rotation — is the engine's
   // scheduling work unit: bounded and allocation-free (active_ and
   // planned_batch_ are fixed-capacity, sized at construction).
   FLIPC_HOT_PATH("MessagingEngine::PlanOutboundBatch");
   planned_batch_.clear();
 
-  waitfree::DoorbellRingView ring = comm_.doorbell_ring(shard_id_);
+  waitfree::DoorbellRingView ring = comm_.doorbell_ring();
   if (ring.OverflowPending()) {
     // Ack BEFORE sweeping, so a ring that overflows again mid-sweep raises
     // a fresh signal rather than being absorbed into this one.
@@ -437,20 +425,6 @@ void MessagingEngine::PlanOutboundBatch() {
     SweepAllEndpoints();
     SelectBatchFromActive();
   }
-}
-
-std::uint32_t MessagingEngine::RouteShardFor(const simnet::Packet& packet) const {
-  if (comm_.shard_count() <= 1 || packet.protocol != simnet::kProtocolFlipc) {
-    return shard_id_;  // Registered protocols run on the distributor's loop.
-  }
-  const Address dst = Address::FromPacked(packet.dst_addr);
-  if (!dst.valid() || dst.node() != wire_.node() ||
-      !comm_.IsValidEndpointIndex(dst.endpoint())) {
-    // Undeterminable destination: deliver locally so DeliverLocal counts
-    // the bad-address drop on the distributor.
-    return shard_id_;
-  }
-  return comm_.shard_of(dst.endpoint());
 }
 
 DurationNs MessagingEngine::PlanStep() {
@@ -482,60 +456,14 @@ DurationNs MessagingEngine::PlanStep() {
 
   // Inbound first: the receiving node must always be ready to accept from
   // the interconnect (the optimistic protocol's no-deadlock guarantee).
+  // The poll consumes at plan time and the packet rides planned_packet_
+  // into the commit.
   simnet::Packet packet;
-
-  // Cross-shard inbound handed off by the distributor. Like wire_.Poll
-  // below, the pop consumes at plan time and the packet rides
-  // planned_packet_ into the commit.
-  if (handoff_inbox_ != nullptr) {
-    bool popped;
-    {
-      // The pop publishes handoff_head, this consumer shard's cursor.
-      waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine, shard_id_);
-      popped = handoff_inbox_->Pop(&packet);
-    }
-    if (popped) {
-      ++stats_.handoff_popped;
-      if (shard_kick_ &&
-          handoff_inbox_->PendingCount() + 1 >= handoff_inbox_->capacity()) {
-        // The inbox was full before this pop, so the distributor may be
-        // parked with a routed packet waiting for this very slot.
-        FLIPC_HOT_PATH_EXEMPT("distributor un-stall wakeup");
-        shard_kick_(0);
-      }
-      planned_ = WorkKind::kInbound;
-      planned_cost_ = price_inbound(packet);
-      planned_packet_ = std::move(packet);
-      return planned_cost_;
-    }
-  }
-
-  if (is_distributor()) {
-    if (parked_packet_.has_value()) {
-      // Retry the parked handoff BEFORE polling the wire again: the parked
-      // packet is the only copy of its message, and polling past it would
-      // break the fabric's per-(src,dst) FIFO order.
-      planned_ = WorkKind::kRoute;
-      planned_route_shard_ = parked_shard_;
-      planned_packet_ = std::move(*parked_packet_);
-      parked_packet_.reset();
-      planned_cost_ = charge(m != nullptr ? m->engine_dispatch_ns : 0);
-      return planned_cost_;
-    }
-    if (wire_.Poll(&packet)) {
-      const std::uint32_t dst_shard = RouteShardFor(packet);
-      if (dst_shard != shard_id_) {
-        planned_ = WorkKind::kRoute;
-        planned_route_shard_ = dst_shard;
-        planned_packet_ = std::move(packet);
-        planned_cost_ = charge(m != nullptr ? m->engine_dispatch_ns : 0);
-        return planned_cost_;
-      }
-      planned_ = WorkKind::kInbound;
-      planned_cost_ = price_inbound(packet);
-      planned_packet_ = std::move(packet);
-      return planned_cost_;
-    }
+  if (wire_.Poll(&packet)) {
+    planned_ = WorkKind::kInbound;
+    planned_cost_ = price_inbound(packet);
+    planned_packet_ = std::move(packet);
+    return planned_cost_;
   }
 
   PlanOutboundBatch();
@@ -573,11 +501,10 @@ DurationNs MessagingEngine::PlanStep() {
 
 bool MessagingEngine::CommitStep() {
   // Every comm-buffer mutation the engine makes happens under this commit,
-  // so bind the engine role — qualified with this planner's shard, so a
-  // write to another shard's endpoint or cursor aborts — for its duration.
-  // Scoped (not per-thread): the simulation drivers and the model checker
-  // step the engine from the same thread that plays the application.
-  waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine, shard_id_);
+  // so bind the engine role for its duration. Scoped (not per-thread): the
+  // simulation drivers and the model checker step the engine from the same
+  // thread that plays the application.
+  waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine);
   if (planned_ == WorkKind::kNone) {
     PlanStep();
   }
@@ -619,38 +546,6 @@ bool MessagingEngine::CommitStep() {
       deferred_cost_ += cost.Take();
       return true;
     }
-    case WorkKind::kRoute: {
-      simnet::Packet packet = std::move(*planned_packet_);
-      planned_packet_.reset();
-      HandoffRing* ring = handoff_outboxes_[planned_route_shard_];
-      if (ring == nullptr) {
-        // Miswired assembly: that shard has no inbox. Count the discard
-        // like any undeliverable destination; dropping beats wedging the
-        // distributor's wire forever.
-        ++stats_.work_units;
-        ++stats_.drops_bad_address;
-        return true;
-      }
-      if (!ring->Push(packet)) {
-        // Inbox full. The packet is the only copy of its message, so park
-        // it; the next plan retries before any further wire polling. This
-        // is NOT progress — returning false lets the host runner back off
-        // instead of spinning on the full ring (the consumer's drain path
-        // kicks the distributor when it frees a slot of a full inbox).
-        ++stats_.handoff_full_retries;
-        parked_packet_ = std::move(packet);
-        parked_shard_ = planned_route_shard_;
-        return false;
-      }
-      ++stats_.work_units;
-      ++stats_.handoff_pushed;
-      if (shard_kick_) {
-        // Consumer wakeup: arbitrary runner code, off the product path.
-        FLIPC_HOT_PATH_EXEMPT("cross-shard wakeup");
-        shard_kick_(planned_route_shard_);
-      }
-      return true;
-    }
   }
   return false;
 }
@@ -662,7 +557,7 @@ bool MessagingEngine::Step() {
 
 void MessagingEngine::RecoverFromBuffer() {
   // Recovery is a quiescent-role closure (DESIGN.md §14): the dead
-  // engine's writer role died with it and no runner steps this shard yet,
+  // engine's writer role died with it and no runner steps the engine yet,
   // so relaxed stores into engine-owned cells are unraced — the same
   // exemption window CommBuffer::AllocateEndpoint's slot reset uses.
   waitfree::ScopedBoundaryExemption quiescent_recovery;
@@ -670,18 +565,17 @@ void MessagingEngine::RecoverFromBuffer() {
   // Doorbells are hints; the cursor sweep below rediscovers their work
   // from the authoritative queue cursors, so fast-forward past anything
   // rung at the dead engine.
-  comm_.doorbell_ring(shard_id_).ResetConsumerQuiescent();
+  comm_.doorbell_ring().ResetConsumerQuiescent();
 
   // Discard any half-planned unit inherited through this object (a fresh
-  // engine has none; an in-place recovery might). planned_packet_ and
-  // parked_packet_ held the ONLY copy of an inbound wire packet on the
-  // dead engine — that copy died with its heap, a legitimate loss the
-  // optimistic contract already covers (same as a packet lost mid-wire).
+  // engine has none; an in-place recovery might). A planned_packet_ is
+  // the ONLY copy of an inbound wire packet; on a dead engine that copy
+  // died with its heap, a legitimate loss the optimistic contract already
+  // covers (same as a packet lost mid-wire).
   planned_ = WorkKind::kNone;
   planned_cost_ = 0;
   planned_packet_.reset();
   planned_batch_.clear();
-  parked_packet_.reset();
   while (!active_.empty()) {
     active_.pop_front();
   }
@@ -703,8 +597,8 @@ void MessagingEngine::RecoverFromBuffer() {
   // cause identity (overflow + periodic + no-candidate) must survive
   // recovery; this sweep is accounted under stats_.recovered_active.
   std::uint64_t activated = 0;
-  stats_.endpoints_visited += shard_end_ - shard_first_;
-  for (std::uint32_t i = shard_first_; i < shard_end_; ++i) {
+  stats_.endpoints_visited += comm_.max_endpoints();
+  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     if (comm_.endpoint(i).Type() != EndpointType::kSend) {
       continue;
     }
@@ -722,21 +616,13 @@ bool MessagingEngine::HasWork() const {
   if (planned_ != WorkKind::kNone) {
     return true;
   }
-  if (parked_packet_.has_value()) {
-    return true;  // A routed packet is waiting for inbox space.
-  }
-  if (handoff_inbox_ != nullptr && handoff_inbox_->HasPending()) {
-    return true;
-  }
-  // The wire is the distributor's work; other shards never poll it.
-  if (is_distributor() && wire_.PendingCount() > 0) {
+  if (wire_.PendingCount() > 0) {
     return true;
   }
   // O(active) early-true checks. A pending doorbell or overflow signal
   // reports work even when stale — the next plan drains the ring (head
   // always advances), so the DES cannot spin on a stale hint.
-  waitfree::DoorbellRingView ring =
-      const_cast<shm::CommBuffer&>(comm_).doorbell_ring(shard_id_);
+  waitfree::DoorbellRingView ring = const_cast<shm::CommBuffer&>(comm_).doorbell_ring();
   if (ring.HasPending() || ring.OverflowPending()) {
     return true;
   }
@@ -746,11 +632,11 @@ bool MessagingEngine::HasWork() const {
       return true;
     }
   }
-  // Full scan (of this shard's range) stays as the authoritative fallback:
+  // The full scan stays as the authoritative fallback:
   // work queued without a doorbell (engine-side test writes, lost
   // doorbells) must be reported — the plan's no-candidate sweep will find
   // anything reported here.
-  for (std::uint32_t i = shard_first_; i < shard_end_; ++i) {
+  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     if (SendReady(i, now)) {
       return true;
     }

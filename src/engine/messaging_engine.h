@@ -47,7 +47,6 @@
 #include "src/simnet/fabric.h"
 #include "src/simnet/packet.h"
 #include "src/simos/semaphore_table.h"
-#include "src/waitfree/handoff_ring.h"
 
 namespace flipc::engine {
 
@@ -78,16 +77,6 @@ struct EngineOptions {
   // Run the lost-doorbell backstop sweep every this many outbound plans;
   // 0 disables the periodic sweep (the no-candidate sweep still runs).
   std::uint32_t backstop_interval = 64;
-
-  // ---- Sharded engine (DESIGN.md §12) ----
-  // This planner's shard id. Each shard plans only the endpoint range the
-  // comm buffer's geometry assigns to it (its own doorbell ring and active
-  // list). Shard 0 is the DISTRIBUTOR: the one shard that polls the node's
-  // wire, delivering own-range packets directly and handing other shards'
-  // packets through their SPSC handoff rings. With an unsharded comm buffer
-  // (shard_count == 1, the default) the engine behaves exactly as a single
-  // planner.
-  std::uint32_t shard_id = 0;
 
   // ---- QoS planner (DESIGN.md §15) ----
   // Per-class service weights for the deficit-weighted class selection
@@ -129,20 +118,15 @@ struct EngineStats {
   std::uint64_t sweeps_no_candidate = 0;  // sweeps because the hint path came up empty
                                           // (overflow-caused sweeps == doorbell_overflows;
                                           //  the three causes sum to backstop_sweeps)
-  // ---- Cross-shard handoff (sharded engine) ----
-  std::uint64_t handoff_pushed = 0;       // packets routed into another shard's inbox
-  std::uint64_t handoff_popped = 0;       // packets consumed from this shard's inbox
-  std::uint64_t handoff_full_retries = 0; // route commits that found the inbox full
-                                          // (packet parked, wire polling stalled)
   // ---- Crash recovery ----
   std::uint64_t recoveries = 0;           // RecoverFromBuffer invocations
   std::uint64_t recovered_active = 0;     // endpoints re-activated by recovery sweeps
 
-  // Sums `other` into this (per-shard stats -> node aggregate). The
-  // counter identities (backstop_sweeps == doorbell_overflows +
-  // sweeps_periodic + sweeps_no_candidate; batched_messages vs
-  // transmit_batches) are linear, so they hold for the aggregate exactly
-  // when they hold per shard.
+  // Sums `other` into this (per-engine stats -> an aggregate over runs or
+  // engines). The counter identities (backstop_sweeps ==
+  // doorbell_overflows + sweeps_periodic + sweeps_no_candidate;
+  // batched_messages vs transmit_batches) are linear, so they hold for the
+  // aggregate exactly when they hold for each part.
   void Add(const EngineStats& other) {
     work_units += other.work_units;
     messages_sent += other.messages_sent;
@@ -164,9 +148,6 @@ struct EngineStats {
     outbound_plans += other.outbound_plans;
     sweeps_periodic += other.sweeps_periodic;
     sweeps_no_candidate += other.sweeps_no_candidate;
-    handoff_pushed += other.handoff_pushed;
-    handoff_popped += other.handoff_popped;
-    handoff_full_retries += other.handoff_full_retries;
     recoveries += other.recoveries;
     recovered_active += other.recovered_active;
   }
@@ -181,13 +162,6 @@ struct EngineTelemetry {
   Histogram plan_cost_ns{0.0, 100000.0, 128};
   // Messages coalesced into each outbound work unit.
   Histogram batch_size{0.0, 65.0, 65};
-
-  // Sums `other`'s buckets into this (per-shard telemetry -> node
-  // aggregate); both sides use the fixed bucket configs above.
-  void Merge(const EngineTelemetry& other) {
-    plan_cost_ns.Merge(other.plan_cost_ns);
-    batch_size.Merge(other.batch_size);
-  }
 };
 
 // A protocol sharing the engine's event loop (the Paragon message
@@ -241,13 +215,13 @@ class MessagingEngine {
 
   // ---- Crash recovery (DESIGN.md §14) ----
 
-  // Rebuilds this shard's scheduling state purely from the authoritative
+  // Rebuilds the engine's scheduling state purely from the authoritative
   // queue cursors of a communication buffer abandoned by a dead engine:
   // fast-forwards the doorbell ring's consume cursor (doorbells are hints;
   // the sweep below rediscovers their work), clears any half-planned work
-  // unit, and re-activates every send endpoint in the shard's range with
-  // processable work. Must run while NO other engine-side actor touches
-  // this shard's range (the quiescent role) — typically on a freshly
+  // unit, and re-activates every send endpoint with processable work. Must
+  // run while NO other engine-side actor touches the comm buffer (the
+  // quiescent role) — typically on a freshly
   // constructed engine before its runner starts. The sweep here is not a
   // backstop sweep (it does not count toward backstop_sweeps, preserving
   // the sweep-cause identity); it increments stats_.recoveries instead.
@@ -270,35 +244,6 @@ class MessagingEngine {
   // one.
   void SetClock(const Clock* clock) { clock_ = clock; }
   const Clock* clock() const { return clock_; }
-
-  // ---- Sharded engine wiring (DESIGN.md §12) ----
-
-  using HandoffRing = waitfree::SpscHandoffRing<simnet::Packet>;
-
-  // The SPSC ring this shard CONSUMES cross-shard inbound packets from
-  // (producer: the distributor). Unset on the distributor itself.
-  void SetHandoffInbox(HandoffRing* ring) { handoff_inbox_ = ring; }
-
-  // The ring the distributor PRODUCES into for `shard`'s packets. Only
-  // meaningful on the distributor; rings for all non-distributor shards
-  // must be wired before traffic flows.
-  void SetHandoffOutbox(std::uint32_t shard, HandoffRing* ring) {
-    handoff_outboxes_[shard] = ring;
-  }
-
-  // Wakes `shard`'s runner after a handoff push (the consumer may be
-  // parked in its idle backoff, exactly like the app->engine kick).
-  void SetShardKick(std::function<void(std::uint32_t shard)> kick) {
-    shard_kick_ = std::move(kick);
-  }
-
-  std::uint32_t shard_id() const { return shard_id_; }
-  // This shard's endpoint range [first, end).
-  std::uint32_t shard_first_endpoint() const { return shard_first_; }
-  std::uint32_t shard_end_endpoint() const { return shard_end_; }
-  // The distributor is the one shard that polls the node's wire (preserving
-  // the fabric's per-(src,dst) FIFO order through one consumer).
-  bool is_distributor() const { return shard_id_ == 0; }
 
   // Earliest virtual/real time at which a currently throttled send
   // endpoint becomes eligible again; kTimeNever when nothing is throttled.
@@ -376,7 +321,7 @@ class MessagingEngine {
   EngineStats stats_;
 
  private:
-  enum class WorkKind { kNone, kInbound, kOutbound, kHandler, kRoute };
+  enum class WorkKind { kNone, kInbound, kOutbound, kHandler };
 
   // ---- Doorbell scheduling (engine-private hint state) ----
 
@@ -463,10 +408,6 @@ class MessagingEngine {
   // (validity, protection and rate-limit checks included).
   void CommitOutboundOne(std::uint32_t endpoint_index, simnet::CostAccumulator& cost);
 
-  // Shard of the packet's destination endpoint, for inbound routing; an
-  // invalid destination stays on the distributor (DeliverLocal counts it).
-  std::uint32_t RouteShardFor(const simnet::Packet& packet) const;
-
   shm::CommBuffer& comm_;
   simnet::Wire& wire_;
   EngineOptions options_;
@@ -475,21 +416,6 @@ class MessagingEngine {
   const Clock* clock_ = nullptr;
   TraceRing* trace_ = nullptr;
   EngineTelemetry* telemetry_ = nullptr;
-
-  // ---- Sharded-engine state ----
-  std::uint32_t shard_id_ = 0;
-  std::uint32_t shard_first_ = 0;  // this shard's endpoint range [first, end)
-  std::uint32_t shard_end_ = 0;
-  HandoffRing* handoff_inbox_ = nullptr;
-  std::vector<HandoffRing*> handoff_outboxes_;  // by consumer shard; distributor only
-  std::function<void(std::uint32_t)> shard_kick_;
-  // A routed packet whose inbox was full: the ONLY copy of that message.
-  // The distributor retries it before polling the wire again (bounded
-  // memory, per-(src,dst) order preserved, liveness restored by the
-  // consumer's progress).
-  std::optional<simnet::Packet> parked_packet_;
-  std::uint32_t parked_shard_ = 0;
-  std::uint32_t planned_route_shard_ = 0;
 
   void Trace(TraceEvent event, std::uint32_t a = 0, std::uint64_t b = 0) {
     if (trace_ != nullptr) {

@@ -1,8 +1,6 @@
 #include "src/flipc/cluster.h"
 
-#include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "src/base/thread_annotations.h"
@@ -13,11 +11,8 @@ namespace flipc {
 
 Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
   auto cluster = std::unique_ptr<Cluster>(new Cluster());
-  cluster->options_ = options;  // RestartShard rebuilds engines from these.
+  cluster->options_ = options;  // RestartEngine rebuilds engines from these.
   cluster->fabric_ = std::make_unique<simnet::ThreadFabric>(options.node_count);
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  unsigned next_cpu = 0;
 
   for (NodeId n = 0; n < options.node_count; ++n) {
     auto node = std::make_unique<Node>();
@@ -27,84 +22,47 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
     FLIPC_ASSIGN_OR_RETURN(node->domain,
                            Domain::Create(domain_options, &cluster->semaphores_));
 
-    const std::uint32_t shards = node->domain->comm().shard_count();
-    cluster->shard_count_ = shards;
-    node->handoffs.resize(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      engine::EngineOptions engine_options = options.engine;
-      engine_options.shard_id = s;
-      auto eng = std::make_unique<engine::MessagingEngine>(
-          node->domain->comm(), cluster->fabric_->wire(n), engine_options,
-          /*model=*/nullptr, &cluster->semaphores_);
-      eng->SetClock(&RealClock::Instance());
-      if (s != 0) {
-        // Distributor (shard 0) → consumer shard s handoff ring, sized like
-        // the doorbell ring: enough slack that only sustained consumer lag
-        // parks the distributor.
-        node->handoffs[s] = std::make_unique<engine::MessagingEngine::HandoffRing>(
-            node->domain->comm().doorbell_capacity(), /*producer_shard=*/0,
-            /*consumer_shard=*/s);
-        node->engines[0]->SetHandoffOutbox(s, node->handoffs[s].get());
-        eng->SetHandoffInbox(node->handoffs[s].get());
-      }
-      engine::EngineRunner::Options runner_options;
-      runner_options.max_idle_park_ns = options.max_idle_park_ns;
-      if (shards > 1 && options.pin_shard_threads) {
-        runner_options.pin_cpu = static_cast<int>(next_cpu++ % hw_threads);
-        runner_options.warm_touch = true;
-      }
-      node->engines.push_back(std::move(eng));
-      node->runners.push_back(std::make_unique<engine::EngineRunner>(
-          *node->engines.back(), runner_options));
-      node->runner_options.push_back(runner_options);
-    }
-
-    // Every kick null-checks its runner slot under the node's runner mutex:
-    // between KillShard and RestartShard the slot is empty, and a kick for
-    // a dead shard must be a no-op, not a crash. (Kicking is already off
-    // the product hot path — a host-thread parking artifact.)
+    // The kick null-checks the runner under the node's runner mutex:
+    // between KillEngine and RestartEngine there is no runner, and a kick
+    // must then be a no-op, not a crash. (Kicking is already off the
+    // product hot path — a host-thread parking artifact.) Sends and
+    // fabric deliveries both wake the node's engine.
     Node* node_ptr = node.get();
-    node->kick_shard = [node_ptr](std::uint32_t shard) {
+    const auto kick = [node_ptr] {
       ScopedLock<std::mutex> guard(node_ptr->runner_mutex);
-      if (shard < node_ptr->runners.size() && node_ptr->runners[shard] != nullptr) {
-        node_ptr->runners[shard]->Kick();
+      if (node_ptr->runner != nullptr) {
+        node_ptr->runner->Kick();
       }
     };
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      node->engines[s]->SetShardKick(node->kick_shard);
-    }
-    node->domain->SetShardKick(node->kick_shard);
-    // Unqualified kicks (callers that do not know the owning shard) wake
-    // everyone; with one shard that degenerates to the classic wiring.
-    node->domain->SetEngineKick([node_ptr] {
-      ScopedLock<std::mutex> guard(node_ptr->runner_mutex);
-      for (auto& runner : node_ptr->runners) {
-        if (runner != nullptr) {
-          runner->Kick();
-        }
-      }
-    });
-    // Only the distributor polls the wire, so deliveries wake shard 0 —
-    // through the null-safe kick, so a killed distributor tolerates
-    // deliveries arriving while it is down.
-    cluster->fabric_->SetDeliveryCallback(n, [node_ptr] { node_ptr->kick_shard(0); });
+    node->domain->SetEngineKick(kick);
+    cluster->fabric_->SetDeliveryCallback(n, kick);
 
     cluster->nodes_.push_back(std::move(node));
+    cluster->BuildEngine(n);
   }
   return cluster;
 }
 
 Cluster::~Cluster() { Stop(); }
 
+void Cluster::BuildEngine(NodeId node_id) {
+  Node& node = *nodes_[node_id];
+  auto eng = std::make_unique<engine::MessagingEngine>(
+      node.domain->comm(), fabric_->wire(node_id), options_.engine,
+      /*model=*/nullptr, &semaphores_);
+  eng->SetClock(&RealClock::Instance());
+  engine::EngineRunner::Options runner_options;
+  runner_options.max_idle_park_ns = options_.max_idle_park_ns;
+  auto runner = std::make_unique<engine::EngineRunner>(*eng, runner_options);
+  ScopedLock<std::mutex> guard(node.runner_mutex);
+  node.engine = std::move(eng);
+  node.runner = std::move(runner);
+}
+
 engine::EngineStats Cluster::aggregate_stats(NodeId node) const {
-  engine::EngineStats total;
   ScopedLock<std::mutex> guard(nodes_[node]->runner_mutex);
-  for (const auto& eng : nodes_[node]->engines) {
-    if (eng != nullptr) {
-      total.Add(eng->stats());
-    }
-  }
-  return total;
+  return nodes_[node]->engine != nullptr ? nodes_[node]->engine->stats()
+                                         : engine::EngineStats{};
 }
 
 void Cluster::Start() {
@@ -113,10 +71,8 @@ void Cluster::Start() {
   }
   for (auto& node : nodes_) {
     ScopedLock<std::mutex> guard(node->runner_mutex);
-    for (auto& runner : node->runners) {
-      if (runner != nullptr) {
-        runner->Start();
-      }
+    if (node->runner != nullptr) {
+      node->runner->Start();
     }
   }
   started_ = true;
@@ -127,46 +83,36 @@ void Cluster::Stop() {
     return;
   }
   for (auto& node : nodes_) {
-    // Move the runners out under the mutex, join outside it: a dying loop
+    // Move the runner out under the mutex, join outside it: a dying loop
     // thread may be inside a kick lambda that takes the same mutex.
-    std::vector<std::unique_ptr<engine::EngineRunner>> doomed;
+    std::unique_ptr<engine::EngineRunner> runner;
     {
       ScopedLock<std::mutex> guard(node->runner_mutex);
-      doomed.resize(node->runners.size());
-      for (std::size_t s = 0; s < node->runners.size(); ++s) {
-        doomed[s] = std::move(node->runners[s]);
-      }
+      runner = std::move(node->runner);
     }
-    for (auto& runner : doomed) {
-      if (runner != nullptr) {
-        runner->Stop();
-      }
+    if (runner != nullptr) {
+      runner->Stop();
     }
-    {
-      ScopedLock<std::mutex> guard(node->runner_mutex);
-      for (std::size_t s = 0; s < node->runners.size(); ++s) {
-        node->runners[s] = std::move(doomed[s]);
-      }
-    }
+    ScopedLock<std::mutex> guard(node->runner_mutex);
+    node->runner = std::move(runner);
   }
   started_ = false;
 }
 
-bool Cluster::shard_alive(NodeId node, std::uint32_t shard) const {
+bool Cluster::engine_alive(NodeId node) const {
   ScopedLock<std::mutex> guard(nodes_[node]->runner_mutex);
-  return shard < nodes_[node]->engines.size() &&
-         nodes_[node]->engines[shard] != nullptr;
+  return nodes_[node]->engine != nullptr;
 }
 
-bool Cluster::KillShard(NodeId node_id, std::uint32_t shard) {
+bool Cluster::KillEngine(NodeId node_id) {
   Node& node = *nodes_[node_id];
   std::unique_ptr<engine::EngineRunner> runner;
   {
     ScopedLock<std::mutex> guard(node.runner_mutex);
-    if (shard >= node.engines.size() || node.engines[shard] == nullptr) {
+    if (node.engine == nullptr) {
       return false;
     }
-    runner = std::move(node.runners[shard]);
+    runner = std::move(node.runner);
   }
   // Join outside the mutex (the loop thread's last act may be a kick that
   // takes it). After the join nothing references the engine; destroy it.
@@ -175,58 +121,32 @@ bool Cluster::KillShard(NodeId node_id, std::uint32_t shard) {
     runner.reset();
   }
   ScopedLock<std::mutex> guard(node.runner_mutex);
-  node.engines[shard].reset();
+  node.engine.reset();
   return true;
 }
 
-bool Cluster::RestartShard(NodeId node_id, std::uint32_t shard) {
+bool Cluster::RestartEngine(NodeId node_id) {
   Node& node = *nodes_[node_id];
   {
     ScopedLock<std::mutex> guard(node.runner_mutex);
-    if (shard >= node.engines.size() || node.engines[shard] != nullptr) {
+    if (node.engine != nullptr) {
       return false;
     }
   }
-  // Build and recover the engine before publishing it: RecoverFromBuffer
-  // must run in the quiescent role, before any runner can step the shard.
-  engine::EngineOptions engine_options = options_.engine;
-  engine_options.shard_id = shard;
-  auto eng = std::make_unique<engine::MessagingEngine>(
-      node.domain->comm(), fabric_->wire(node_id), engine_options,
-      /*model=*/nullptr, &semaphores_);
-  eng->SetClock(&RealClock::Instance());
-  // The Node-owned handoff rings survived the crash (cursors and the
-  // producer's private position live in the ring object); only the
-  // engine's pointers need rewiring.
-  if (shard == 0) {
-    for (std::uint32_t s = 1; s < node.handoffs.size(); ++s) {
-      eng->SetHandoffOutbox(s, node.handoffs[s].get());
-    }
-  } else {
-    eng->SetHandoffInbox(node.handoffs[shard].get());
-  }
-  eng->SetShardKick(node.kick_shard);
-  eng->RecoverFromBuffer();
-
-  auto runner = std::make_unique<engine::EngineRunner>(*eng, node.runner_options[shard]);
-  engine::EngineRunner* started = nullptr;
+  // Recover before any runner can step the engine: RecoverFromBuffer must
+  // run in the quiescent role. The runner is built stopped, so the engine
+  // is still quiescent here.
+  BuildEngine(node_id);
+  engine::EngineRunner* runner = nullptr;
   {
     ScopedLock<std::mutex> guard(node.runner_mutex);
-    node.engines[shard] = std::move(eng);
-    node.runners[shard] = std::move(runner);
-    started = node.runners[shard].get();
+    node.engine->RecoverFromBuffer();
+    runner = node.runner.get();
   }
   if (started_) {
-    started->Start();
-  }
-  // Wake every surviving runner: peers may be parked waiting on the dead
-  // shard (a distributor with a parked packet for its full inbox, or
-  // consumers idle behind a wire nobody polled).
-  ScopedLock<std::mutex> guard(node.runner_mutex);
-  for (auto& r : node.runners) {
-    if (r != nullptr) {
-      r->Kick();
-    }
+    // The loop steps before it ever parks, so work released while the
+    // engine was down is served without a kick.
+    runner->Start();
   }
   return true;
 }

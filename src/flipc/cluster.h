@@ -14,7 +14,6 @@
 #ifndef SRC_FLIPC_CLUSTER_H_
 #define SRC_FLIPC_CLUSTER_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -41,11 +40,6 @@ class Cluster {
     std::uint32_t node_count = 2;
     shm::CommBufferConfig comm;
     engine::EngineOptions engine;
-    // Sharded nodes (comm.shard_count > 1): pin each shard planner thread
-    // to its own CPU and first-touch its comm-buffer slice (DESIGN.md §12).
-    // Single-shard nodes are never pinned regardless of this flag, so the
-    // default assembly is unchanged.
-    bool pin_shard_threads = true;
     // Longest idle park per runner thread (EngineRunner::Options); the
     // park-cap regression test raises this to make a missed unthrottle
     // deadline visible as a large, deterministic delay.
@@ -62,75 +56,55 @@ class Cluster {
   void Stop();
 
   std::uint32_t node_count() const { return static_cast<std::uint32_t>(nodes_.size()); }
-  // Planner shards per node (comm.shard_count; 1 = classic assembly).
-  std::uint32_t shard_count() const { return shard_count_; }
   Domain& domain(NodeId node) { return *nodes_[node]->domain; }
-  // The node's distributor shard (shard 0) — the classic single-engine view.
-  engine::MessagingEngine& engine(NodeId node) { return *nodes_[node]->engines[0]; }
-  engine::MessagingEngine& engine(NodeId node, std::uint32_t shard) {
-    return *nodes_[node]->engines[shard];
-  }
-  engine::EngineRunner& runner(NodeId node, std::uint32_t shard = 0) {
-    return *nodes_[node]->runners[shard];
-  }
-  // Whether the shard's planner currently exists (false between KillShard
-  // and RestartShard).
-  bool shard_alive(NodeId node, std::uint32_t shard) const;
+  // The node's engine and its runner; both absent between KillEngine and
+  // RestartEngine.
+  engine::MessagingEngine& engine(NodeId node) { return *nodes_[node]->engine; }
+  engine::EngineRunner& runner(NodeId node) { return *nodes_[node]->runner; }
+  // Whether the node's engine currently exists (false between KillEngine
+  // and RestartEngine).
+  bool engine_alive(NodeId node) const;
 
   // ---- Failure injection (DESIGN.md §14) ----
 
-  // Murders one shard planner mid-traffic: stops its runner thread and
+  // Murders the node's engine mid-traffic: stops its runner thread and
   // destroys runner and engine, abandoning the comm-buffer state exactly
   // as a crashed coprocessor would. Application threads may keep sending
-  // throughout (their endpoints simply stop draining; a killed
-  // distributor additionally stops wire polling and cross-shard routing
-  // for the node). Returns false if the shard is already dead.
-  bool KillShard(NodeId node, std::uint32_t shard);
+  // throughout (their endpoints simply stop draining, and nothing polls
+  // the node's wire). Returns false if the engine is already dead.
+  bool KillEngine(NodeId node);
 
-  // Resurrects a killed shard: builds a fresh engine over the abandoned
-  // comm buffer, rewires its handoff rings and kick paths, rebuilds its
-  // scheduling state via MessagingEngine::RecoverFromBuffer(), and starts
-  // a new runner when the cluster is started. Every surviving runner is
-  // kicked afterwards so peers stalled on the dead shard (a distributor
-  // parked on its full inbox, consumers idle behind an unpolled wire)
-  // resume. Returns false if the shard is alive.
-  bool RestartShard(NodeId node, std::uint32_t shard);
-  // Sums every shard planner's counters; the telemetry identities are
-  // linear, so they hold for the aggregate exactly as per shard.
+  // Resurrects a killed engine: builds a fresh engine over the abandoned
+  // comm buffer, rebuilds its scheduling state via
+  // MessagingEngine::RecoverFromBuffer(), and starts a new runner when the
+  // cluster is started. Returns false if the engine is alive.
+  bool RestartEngine(NodeId node);
+  // The node engine's counters (all zero while it is dead).
   engine::EngineStats aggregate_stats(NodeId node) const;
   simos::SemaphoreTable& semaphores() { return semaphores_; }
 
  private:
   struct Node {
     std::unique_ptr<Domain> domain;
-    // One planner per shard; [0] is the distributor (sole wire poller).
-    std::vector<std::unique_ptr<engine::MessagingEngine>> engines;
-    std::vector<std::unique_ptr<engine::EngineRunner>> runners;
-    // Distributor→consumer handoff rings, indexed by consumer shard
-    // ([0] unused — the distributor delivers its own endpoints directly).
-    // Node-owned so handoff state (cursors AND the producer's private
-    // position) survives the death of either endpoint's engine.
-    std::vector<std::unique_ptr<engine::MessagingEngine::HandoffRing>> handoffs;
-    // Guards runners[] against kick lambdas racing KillShard/RestartShard
-    // swaps. Kicks take it briefly (off the product hot path: kicking is
-    // already a host-thread parking artifact); runner joins happen OUTSIDE
-    // it, because the dying loop thread may itself be inside a kick.
+    std::unique_ptr<engine::MessagingEngine> engine;
+    std::unique_ptr<engine::EngineRunner> runner;
+    // Guards engine and runner against kick lambdas racing
+    // KillEngine/RestartEngine swaps. Kicks take it briefly (off the
+    // product hot path: kicking is already a host-thread parking
+    // artifact); runner joins happen OUTSIDE it, because the dying loop
+    // thread may itself be inside a kick.
     mutable std::mutex runner_mutex;
-    // Per-shard runner options, kept so RestartShard rebuilds the same
-    // pinning/warm-touch placement the shard had at Create().
-    std::vector<engine::EngineRunner::Options> runner_options;
-    // The per-shard kick installed at Create(); re-wired into every
-    // restarted engine.
-    std::function<void(std::uint32_t)> kick_shard;
   };
+
+  // Builds the node's engine and (stopped) runner over its comm buffer.
+  void BuildEngine(NodeId node_id);
 
   Cluster() = default;
 
   simos::SemaphoreTable semaphores_;
   std::unique_ptr<simnet::ThreadFabric> fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  Options options_;  // RestartShard rebuilds engines from these
-  std::uint32_t shard_count_ = 1;
+  Options options_;  // RestartEngine rebuilds engines from these
   bool started_ = false;
 };
 
@@ -150,8 +124,8 @@ class SimCluster {
     // Link model factory selector; default Paragon mesh sized to the node
     // count (width = ceil(sqrt(n))).
     std::unique_ptr<simnet::LinkModel> link_model;
-    // Fabric-level failure injection (drop probability, seeded FaultPlan);
-    // the default is the perfectly reliable fabric FLIPC assumes.
+    // Fabric-level failure injection (a seeded FaultPlan); the default is
+    // the perfectly reliable fabric FLIPC assumes.
     simnet::SimFabric::Options fabric;
   };
 

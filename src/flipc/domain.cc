@@ -52,7 +52,6 @@ Result<Endpoint> Domain::CreateEndpoint(const EndpointOptions& options) {
   params.deadline_ns = options.deadline_ns;
   params.bucket_capacity = options.bucket_capacity;
   params.bucket_refill_ns = options.bucket_refill_ns;
-  params.shard = options.shard;
 
   bool owns_semaphore = false;
   if (options.group != nullptr) {

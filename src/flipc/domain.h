@@ -80,21 +80,8 @@ class Domain {
   // Wires the engine wake-up: called after operations that create engine
   // work (sends). Typically EngineRunner::Kick or SimEngineDriver::Kick.
   void SetEngineKick(std::function<void()> kick) { kick_ = std::move(kick); }
-  // Sharded assemblies install a per-shard kick instead; when set it takes
-  // precedence for endpoint-directed wake-ups so a send wakes only the
-  // planner that owns the endpoint's comm-buffer slice.
-  void SetShardKick(std::function<void(std::uint32_t shard)> kick) {
-    shard_kick_ = std::move(kick);
-  }
   void KickEngine() {
     if (kick_) {
-      kick_();
-    }
-  }
-  void KickEngine(std::uint32_t shard) {
-    if (shard_kick_) {
-      shard_kick_(shard);
-    } else if (kick_) {
       kick_();
     }
   }
@@ -135,10 +122,6 @@ class Domain {
     // ns to refill one bucket token; 0 with nonzero capacity means the
     // bucket never refills (hard burst cap).
     std::uint32_t bucket_refill_ns = 0;
-    // Sharded engine: allocate the endpoint inside this shard's contiguous
-    // slot range so its planner owns it. kAnyShard = first free slot
-    // anywhere (single-shard buffers have exactly one shard, 0).
-    std::uint32_t shard = shm::CommBuffer::kAnyShard;
   };
 
   FLIPC_ROLE_QUIESCENT Result<Endpoint> CreateEndpoint(const EndpointOptions& options);
@@ -191,7 +174,6 @@ class Domain {
   NodeId node_;
   simos::SemaphoreTable* semaphores_;
   std::function<void()> kick_;
-  std::function<void(std::uint32_t)> shard_kick_;
   CallCounters calls_;
   TraceRing* trace_ = nullptr;
   const Clock* trace_clock_ = nullptr;

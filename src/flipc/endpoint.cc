@@ -64,14 +64,13 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
   }
 
   if (expected == EndpointType::kSend) {
-    // Ring the owning shard's doorbell so its planner schedules this
-    // endpoint without a full scan. Sequenced after the queue Release
+    // Ring the doorbell so the engine's planner schedules this endpoint
+    // without a full scan. Sequenced after the queue Release
     // above, so the engine's acquire of the doorbell also observes the
     // released buffer. A full ring raises the overflow signal instead (the
     // engine answers with a sweep); either way the send already succeeded —
     // doorbells are hints.
-    const std::uint32_t shard = rec.shard.ReadRelaxed();
-    const bool rang = domain_->comm().doorbell_ring(shard).Ring(index_);
+    const bool rang = domain_->comm().doorbell_ring().Ring(index_);
     telemetry.RecordApiSend();
     telemetry.RecordDoorbell(rang);
     domain_->TraceApi(TraceEvent::kApiSend, index_, buffer.index());
@@ -81,7 +80,7 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
       // (condvar notify under the runner's mutex); on the Paragon the engine
       // is a co-processor that is simply running. Not a Paragon-path cost.
       FLIPC_HOT_PATH_EXEMPT("engine kick: host-thread parking artifact");
-      domain_->KickEngine(shard);
+      domain_->KickEngine();
     }
   } else {
     telemetry.RecordApiPost();

@@ -28,12 +28,6 @@ Status CommBufferConfig::Validate() const {
       (doorbell_capacity < 2 || !IsPowerOfTwo(doorbell_capacity))) {
     return InvalidArgumentStatus();
   }
-  if (shard_count == 0 || shard_count > max_endpoints ||
-      max_endpoints % shard_count != 0) {
-    // Shards own equal contiguous slot blocks; requiring divisibility keeps
-    // every shard non-empty (no planner with nothing to plan).
-    return InvalidArgumentStatus();
-  }
   return OkStatus();
 }
 
@@ -54,14 +48,9 @@ Result<CommBufferLayout> CommBufferLayout::For(const CommBufferConfig& config) {
   offset = layout.freelist_offset +
            static_cast<std::size_t>(config.buffer_count) * sizeof(std::uint32_t);
   layout.doorbell_offset = AlignUp(offset, kCacheLineSize);
-  // One doorbell section (cursors + cells) per shard; the per-shard stride
-  // is cache-line aligned so no section straddles another shard's lines.
-  const std::size_t doorbell_stride =
-      AlignUp(sizeof(waitfree::DoorbellCursors) +
-                  static_cast<std::size_t>(config.effective_doorbell_capacity()) *
-                      sizeof(waitfree::SingleWriterCell<std::uint64_t>),
-              kCacheLineSize);
-  offset = layout.doorbell_offset + config.shard_count * doorbell_stride;
+  offset = layout.doorbell_offset + sizeof(waitfree::DoorbellCursors) +
+           static_cast<std::size_t>(config.effective_doorbell_capacity()) *
+               sizeof(waitfree::SingleWriterCell<std::uint64_t>);
   layout.buffers_offset = AlignUp(offset, kCacheLineSize);
   offset = layout.buffers_offset +
            static_cast<std::size_t>(config.buffer_count) * config.message_size;
@@ -142,9 +131,6 @@ void CommBuffer::FormatRegion(const CommBufferConfig& config, const CommBufferLa
   header_->max_endpoints = config.max_endpoints;
   header_->cell_arena_size = config.effective_cell_arena_size();
   header_->doorbell_capacity = config.effective_doorbell_capacity();
-  header_->shard_count = config.shard_count;
-  header_->endpoints_per_shard =
-      (config.max_endpoints + config.shard_count - 1) / config.shard_count;
   header_->endpoint_table_offset = layout.endpoint_table_offset;
   header_->telemetry_offset = layout.telemetry_offset;
   header_->cell_arena_offset = layout.cell_arena_offset;
@@ -163,15 +149,12 @@ void CommBuffer::FormatRegion(const CommBufferConfig& config, const CommBufferLa
     new (&cells[i]) waitfree::SingleWriterCell<BufferIndex>(kInvalidBuffer);
   }
 
-  // Doorbell rings, one per shard: zeroed cells carry lap tag 0, which never
-  // matches a consumer expectation (tags start at 1), so each ring formats
-  // empty.
-  for (std::uint32_t shard = 0; shard < header_->shard_count; ++shard) {
-    new (doorbell_cursors(shard)) waitfree::DoorbellCursors();
-    auto* bells = doorbell_cells(shard);
-    for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
-      new (&bells[i]) waitfree::SingleWriterCell<std::uint64_t>(0);
-    }
+  // Doorbell ring: zeroed cells carry lap tag 0, which never matches a
+  // consumer expectation (tags start at 1), so the ring formats empty.
+  new (doorbell_cursors()) waitfree::DoorbellCursors();
+  auto* bells = doorbell_cells();
+  for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
+    new (&bells[i]) waitfree::SingleWriterCell<std::uint64_t>(0);
   }
 
   // Thread the buffer free list: each buffer's freelist slot names the next
@@ -195,12 +178,9 @@ void CommBuffer::DeclareBoundaryOwners() {
   }
   // A reformat invalidates whatever was declared at these addresses before.
   waitfree::UndeclareCellRange(base_, header_->total_size);
-  // Endpoint records and telemetry: engine-written cells are additionally
-  // qualified with the owning shard (per the contiguous block assignment),
-  // so a planner that touches another shard's endpoint aborts.
   for (std::uint32_t i = 0; i < header_->max_endpoints; ++i) {
-    DeclareOwnersFromTable(&endpoint_table()[i], kEndpointRecordOwnership, shard_of(i));
-    DeclareOwnersFromTable(&telemetry_table()[i], kTelemetryBlockOwnership, shard_of(i));
+    DeclareOwnersFromTable(&endpoint_table()[i], kEndpointRecordOwnership);
+    DeclareOwnersFromTable(&telemetry_table()[i], kTelemetryBlockOwnership);
   }
   // Queue cells are written only by the application, at release time; the
   // engine communicates per-buffer completion through the buffer's state
@@ -209,15 +189,12 @@ void CommBuffer::DeclareBoundaryOwners() {
   for (std::uint32_t i = 0; i < header_->cell_arena_size; ++i) {
     cells[i].DeclareOwner(waitfree::Writer::kApplication, "CommBuffer.cell_arena");
   }
-  // Doorbell rings: cursors per the ownership table (each shard's consumer
-  // cursors qualified with that shard); every ring cell is written only by
-  // the application, at ring time.
-  for (std::uint32_t shard = 0; shard < header_->shard_count; ++shard) {
-    DeclareOwnersFromTable(doorbell_cursors(shard), kDoorbellCursorsOwnership, shard);
-    auto* bells = doorbell_cells(shard);
-    for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
-      bells[i].DeclareOwner(waitfree::Writer::kApplication, "CommBuffer.doorbell_cells");
-    }
+  // Doorbell ring: cursors per the ownership table; every ring cell is
+  // written only by the application, at ring time.
+  DeclareOwnersFromTable(doorbell_cursors(), kDoorbellCursorsOwnership);
+  auto* bells = doorbell_cells();
+  for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
+    bells[i].DeclareOwner(waitfree::Writer::kApplication, "CommBuffer.doorbell_cells");
   }
   // Message headers are NOT declared: their peer/state words hand off
   // between writers with the buffer's queue position. HandoffState's
@@ -247,26 +224,17 @@ std::uint32_t* CommBuffer::freelist() {
   return reinterpret_cast<std::uint32_t*>(base_ + header_->freelist_offset);
 }
 
-std::size_t CommBuffer::doorbell_section_stride() const {
-  return AlignUp(sizeof(waitfree::DoorbellCursors) +
-                     static_cast<std::size_t>(header_->doorbell_capacity) *
-                         sizeof(waitfree::SingleWriterCell<std::uint64_t>),
-                 kCacheLineSize);
+waitfree::DoorbellCursors* CommBuffer::doorbell_cursors() {
+  return reinterpret_cast<waitfree::DoorbellCursors*>(base_ + header_->doorbell_offset);
 }
 
-waitfree::DoorbellCursors* CommBuffer::doorbell_cursors(std::uint32_t shard) {
-  return reinterpret_cast<waitfree::DoorbellCursors*>(
-      base_ + header_->doorbell_offset + shard * doorbell_section_stride());
-}
-
-waitfree::SingleWriterCell<std::uint64_t>* CommBuffer::doorbell_cells(std::uint32_t shard) {
+waitfree::SingleWriterCell<std::uint64_t>* CommBuffer::doorbell_cells() {
   return reinterpret_cast<waitfree::SingleWriterCell<std::uint64_t>*>(
-      base_ + header_->doorbell_offset + shard * doorbell_section_stride() +
-      sizeof(waitfree::DoorbellCursors));
+      base_ + header_->doorbell_offset + sizeof(waitfree::DoorbellCursors));
 }
 
-waitfree::DoorbellRingView CommBuffer::doorbell_ring(std::uint32_t shard) {
-  return waitfree::DoorbellRingView(doorbell_cursors(shard), doorbell_cells(shard),
+waitfree::DoorbellRingView CommBuffer::doorbell_ring() {
+  return waitfree::DoorbellRingView(doorbell_cursors(), doorbell_cells(),
                                     header_->doorbell_capacity);
 }
 
@@ -318,24 +286,14 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
     return InvalidArgumentStatus();
   }
 
-  if (params.shard != kAnyShard && params.shard >= header_->shard_count) {
-    return InvalidArgumentStatus();
-  }
-
   waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kApplication);
   ScopedLock<TasLock> guard(header_->alloc_lock);
 
   // Prefer an inactive record whose prior cell reservation is big enough to
-  // reuse; otherwise take any inactive record and extend the arena. When a
-  // shard is requested, the search covers only that shard's slot range.
-  const std::uint32_t first =
-      params.shard == kAnyShard ? 0 : shard_first_endpoint(params.shard);
-  const std::uint32_t end =
-      params.shard == kAnyShard ? header_->max_endpoints
-                                : shard_end_endpoint(params.shard);
+  // reuse; otherwise take any inactive record and extend the arena.
   std::uint32_t chosen = kInvalidEndpoint;
   std::uint32_t fallback = kInvalidEndpoint;
-  for (std::uint32_t i = first; i < end; ++i) {
+  for (std::uint32_t i = 0; i < header_->max_endpoints; ++i) {
     EndpointRecord& record = endpoint_table()[i];
     if (record.IsActive()) {
       continue;
@@ -369,10 +327,6 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
   record.semaphore_id.StoreRelaxed(params.semaphore_id);
   record.options.StoreRelaxed(params.options);
   record.allowed_peer.StoreRelaxed(params.allowed_peer);
-  // The owning shard follows from the slot index (contiguous block
-  // assignment); published on the record so the application library rings
-  // the right doorbell without recomputing the mapping.
-  record.shard.StoreRelaxed(shard_of(chosen));
   record.qos_class.StoreRelaxed(params.qos_class);
   record.deadline_ns.StoreRelaxed(params.deadline_ns);
   record.bucket_capacity.StoreRelaxed(params.bucket_capacity);

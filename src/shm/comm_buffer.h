@@ -18,8 +18,7 @@
 //   [TelemetryBlock x max_endpoints]   per-endpoint counters (app/engine lines)
 //   [cell arena]         queue cells, carved out per endpoint at allocation
 //   [buffer free list]   application-side singly linked free list
-//   [doorbell rings]     per shard: cursors + MPSC ring of endpoint indices
-//                        rung on send (shard_count rings; one when unsharded)
+//   [doorbell ring]      cursors + MPSC ring of endpoint indices rung on send
 //   [message buffers]    buffer_count x message_size bytes
 //
 // Allocation (buffers, endpoints, arena cells) is an application-side
@@ -64,16 +63,10 @@ struct CommBufferConfig {
   std::uint32_t max_endpoints = 64;
   // Total queue cells available to endpoints; 0 means 4 * buffer_count.
   std::uint32_t cell_arena_size = 0;
-  // Doorbell ring slots per shard (power of two); 0 derives a capacity that
+  // Doorbell ring slots (power of two); 0 derives a capacity that
   // covers every in-flight send release (bounded by buffer_count), clamped
   // to [64, 4096].
   std::uint32_t doorbell_capacity = 0;
-  // Engine shard count (DESIGN.md §12). Endpoints are assigned to shards in
-  // equal contiguous index ranges of max_endpoints / shard_count (the count
-  // must divide max_endpoints evenly); each shard gets its own doorbell
-  // ring section. 1 (the default) is the unsharded engine — byte-compatible
-  // behavior with a single planner.
-  std::uint32_t shard_count = 1;
 
   std::uint32_t effective_cell_arena_size() const {
     return cell_arena_size == 0 ? 4 * buffer_count : cell_arena_size;
@@ -118,8 +111,6 @@ struct alignas(kCacheLineSize) CommBufferHeader {
   std::uint32_t max_endpoints;
   std::uint32_t cell_arena_size;
   std::uint32_t doorbell_capacity;
-  std::uint32_t shard_count;
-  std::uint32_t endpoints_per_shard;
   std::uint64_t endpoint_table_offset;
   std::uint64_t telemetry_offset;
   std::uint64_t cell_arena_offset;
@@ -141,9 +132,8 @@ inline constexpr std::uint64_t kCommBufferMagic = 0x464c495043313936ull;  // "FL
 // doorbell_offset, and the cursors + cells between the free list and the
 // message buffers). Version 3 added the per-endpoint telemetry table
 // (telemetry_offset and one TelemetryBlock per endpoint slot between the
-// endpoint table and the cell arena). Version 4 added engine sharding:
-// shard_count/endpoints_per_shard in the header, one doorbell ring section
-// per shard, and the shard cell on each endpoint record's config line.
+// endpoint table and the cell arena). Version 4 split the engine into
+// several planners per node (undone by version 7).
 // Version 5 added the QoS planner cells on the endpoint config line
 // (qos_class, deadline_ns, bucket_capacity, bucket_refill_ns,
 // alloc_generation) and three engine-side QoS counters on the telemetry
@@ -151,7 +141,10 @@ inline constexpr std::uint64_t kCommBufferMagic = 0x464c495043313936ull;  // "FL
 // Version 6 removed the scan-priority and minimum-send-interval cells from
 // the endpoint config line (priority is qos_class/deadline_ns; a send
 // interval is a token bucket of capacity 1).
-inline constexpr std::uint32_t kCommBufferVersion = 6;
+// Version 7 returned to one messaging engine per node: the header's planner
+// geometry, the per-planner doorbell sections (one ring remains) and the
+// endpoint record's owning-planner cell are gone.
+inline constexpr std::uint32_t kCommBufferVersion = 7;
 
 class CommBuffer {
  public:
@@ -182,24 +175,6 @@ class CommBuffer {
   std::uint32_t buffer_count() const { return header_->buffer_count; }
   std::uint32_t max_endpoints() const { return header_->max_endpoints; }
 
-  // ---- Shard geometry (immutable after format) ----
-  std::uint32_t shard_count() const { return header_->shard_count; }
-  std::uint32_t endpoints_per_shard() const { return header_->endpoints_per_shard; }
-  // Shard that owns endpoint slot `index` (contiguous block assignment).
-  std::uint32_t shard_of(std::uint32_t index) const {
-    return index / header_->endpoints_per_shard;
-  }
-  // Endpoint index range [first, end) owned by `shard`.
-  std::uint32_t shard_first_endpoint(std::uint32_t shard) const {
-    return shard * header_->endpoints_per_shard;
-  }
-  std::uint32_t shard_end_endpoint(std::uint32_t shard) const {
-    const std::uint64_t end = static_cast<std::uint64_t>(shard + 1) *
-                              header_->endpoints_per_shard;
-    return end > header_->max_endpoints ? header_->max_endpoints
-                                        : static_cast<std::uint32_t>(end);
-  }
-
   // ---- Message buffers (application side) ----
   FLIPC_ROLE_APP Result<BufferIndex> AllocateBuffer();
   FLIPC_ROLE_APP Status FreeBuffer(BufferIndex index);
@@ -213,8 +188,6 @@ class CommBuffer {
   }
 
   // ---- Endpoints (application side) ----
-  static constexpr std::uint32_t kAnyShard = 0xffffffffu;
-
   struct EndpointParams {
     EndpointType type = EndpointType::kReceive;
     std::uint32_t queue_capacity = 16;  // power of two
@@ -223,9 +196,6 @@ class CommBuffer {
     // Packed Address of the only permitted destination (send endpoints);
     // 0xffffffff = unrestricted.
     std::uint32_t allowed_peer = 0xffffffffu;
-    // Restrict allocation to the slot range of one shard (DESIGN.md §12);
-    // kAnyShard picks the first free slot regardless of shard.
-    std::uint32_t shard = kAnyShard;
     // QoS planner (DESIGN.md §15): weighted service class [0, 3].
     std::uint32_t qos_class = 0;
     // Relative per-message deadline in ns; 0 = not real-time.
@@ -252,11 +222,9 @@ class CommBuffer {
   // Queue view bound to an endpoint's cursors and cells.
   waitfree::BufferQueueView queue(std::uint32_t endpoint_index);
 
-  // View of a shard's send doorbell ring (application rings, the owning
-  // shard planner drains). The no-argument form is shard 0 — the only ring
-  // when unsharded.
-  waitfree::DoorbellRingView doorbell_ring() { return doorbell_ring(0); }
-  waitfree::DoorbellRingView doorbell_ring(std::uint32_t shard);
+  // View of the send doorbell ring (the application rings, the engine
+  // drains).
+  waitfree::DoorbellRingView doorbell_ring();
   std::uint32_t doorbell_capacity() const { return header_->doorbell_capacity; }
 
   // Per-endpoint telemetry. Reads need no role; writes go through the
@@ -279,11 +247,8 @@ class CommBuffer {
   TelemetryBlock* telemetry_table();
   waitfree::SingleWriterCell<BufferIndex>* cell_arena();
   std::uint32_t* freelist();
-  // Byte stride between consecutive shards' doorbell sections (cursors +
-  // cells, cache-line aligned).
-  std::size_t doorbell_section_stride() const;
-  waitfree::DoorbellCursors* doorbell_cursors(std::uint32_t shard);
-  waitfree::SingleWriterCell<std::uint64_t>* doorbell_cells(std::uint32_t shard);
+  waitfree::DoorbellCursors* doorbell_cursors();
+  waitfree::SingleWriterCell<std::uint64_t>* doorbell_cells();
 
   std::byte* base_ = nullptr;
   CommBufferHeader* header_ = nullptr;

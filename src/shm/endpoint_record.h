@@ -65,11 +65,6 @@ struct alignas(kCacheLineSize) EndpointRecord {
   // Protection (future-work): packed Address this endpoint may send to;
   // 0xffffffff (invalid) means unrestricted. Enforced by the engine.
   waitfree::SingleWriterCell<std::uint32_t> allowed_peer;
-  // Sharded engine: which shard planner owns this endpoint (DESIGN.md §12).
-  // Assigned at allocation from the comm buffer's shard geometry and
-  // published here so the application rings the owning shard's doorbell
-  // ring without recomputing the mapping. Always 0 when shard_count == 1.
-  waitfree::SingleWriterCell<std::uint32_t> shard;
   // QoS planner (DESIGN.md §15): weighted service class. Classes 0..3;
   // the planner's deficit-weighted selection gives each class a share of
   // transmissions proportional to its configured weight.

@@ -33,7 +33,6 @@
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
-#include "src/waitfree/handoff_ring.h"
 
 namespace flipc::shm {
 
@@ -79,8 +78,6 @@ inline constexpr FieldOwnership kEndpointRecordOwnership[] = {
      sizeof(EndpointRecord::options), ownership_internal::kApp, true, true},
     {"EndpointRecord.allowed_peer", offsetof(EndpointRecord, allowed_peer),
      sizeof(EndpointRecord::allowed_peer), ownership_internal::kApp, true, true},
-    {"EndpointRecord.shard", offsetof(EndpointRecord, shard),
-     sizeof(EndpointRecord::shard), ownership_internal::kApp, true, true},
     {"EndpointRecord.qos_class", offsetof(EndpointRecord, qos_class),
      sizeof(EndpointRecord::qos_class), ownership_internal::kApp, true, true},
     {"EndpointRecord.deadline_ns", offsetof(EndpointRecord, deadline_ns),
@@ -191,21 +188,6 @@ inline constexpr FieldOwnership kPaddedDropCounterOwnership[] = {
      false},
 };
 
-// ---- HandoffCursors (src/waitfree/handoff_ring.h) ----
-// The engine-to-engine SPSC handoff ring's cursor block. Both cursors are
-// engine-side — the single-writer split here is BETWEEN SHARDS, not across
-// the app/engine boundary: the producer shard writes handoff_tail (and the
-// slot tags), the consumer shard writes handoff_head, each on its own cache
-// line. The per-shard confinement is enforced at run time by the checker's
-// shard-qualified declarations (HandoffCursors::DeclareOwners); the lint
-// below still proves the two lines never mix writers' words.
-inline constexpr FieldOwnership kHandoffCursorsOwnership[] = {
-    {"HandoffCursors.handoff_tail", offsetof(waitfree::HandoffCursors, handoff_tail),
-     sizeof(waitfree::HandoffCursors::handoff_tail), ownership_internal::kEng, true, false},
-    {"HandoffCursors.handoff_head", offsetof(waitfree::HandoffCursors, handoff_head),
-     sizeof(waitfree::HandoffCursors::handoff_head), ownership_internal::kEng, true, false},
-};
-
 // ---- CommBufferHeader (src/shm/comm_buffer.h) ----
 // Entirely application-written: identity once at format time, allocation
 // state under alloc_lock. Listed so the audit covers every shared struct;
@@ -225,11 +207,6 @@ inline constexpr FieldOwnership kCommBufferHeaderOwnership[] = {
      sizeof(CommBufferHeader::cell_arena_size), ownership_internal::kApp, false, true},
     {"CommBufferHeader.doorbell_capacity", offsetof(CommBufferHeader, doorbell_capacity),
      sizeof(CommBufferHeader::doorbell_capacity), ownership_internal::kApp, false, true},
-    {"CommBufferHeader.shard_count", offsetof(CommBufferHeader, shard_count),
-     sizeof(CommBufferHeader::shard_count), ownership_internal::kApp, false, true},
-    {"CommBufferHeader.endpoints_per_shard",
-     offsetof(CommBufferHeader, endpoints_per_shard),
-     sizeof(CommBufferHeader::endpoints_per_shard), ownership_internal::kApp, false, true},
     {"CommBufferHeader.endpoint_table_offset",
      offsetof(CommBufferHeader, endpoint_table_offset),
      sizeof(CommBufferHeader::endpoint_table_offset), ownership_internal::kApp, false, true},
@@ -320,7 +297,6 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"EndpointRecord.semaphore_id", FieldOrderKind::kConfig},
     {"EndpointRecord.options", FieldOrderKind::kConfig},
     {"EndpointRecord.allowed_peer", FieldOrderKind::kConfig},
-    {"EndpointRecord.shard", FieldOrderKind::kConfig},
     {"EndpointRecord.qos_class", FieldOrderKind::kConfig},
     {"EndpointRecord.deadline_ns", FieldOrderKind::kConfig},
     {"EndpointRecord.bucket_capacity", FieldOrderKind::kConfig},
@@ -357,9 +333,6 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"DoorbellCursors.overflow_rung", FieldOrderKind::kFlag},
     {"DoorbellCursors.ring_head", FieldOrderKind::kHintCursor},
     {"DoorbellCursors.overflow_seen", FieldOrderKind::kFlag},
-    // HandoffCursors
-    {"HandoffCursors.handoff_tail", FieldOrderKind::kCursor},
-    {"HandoffCursors.handoff_head", FieldOrderKind::kCursor},
     // PaddedDropCounterParts
     {"PaddedDropCounterParts.dropped", FieldOrderKind::kCounter},
     {"PaddedDropCounterParts.reclaimed", FieldOrderKind::kCounter},
@@ -371,8 +344,6 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"CommBufferHeader.max_endpoints", FieldOrderKind::kPlain},
     {"CommBufferHeader.cell_arena_size", FieldOrderKind::kPlain},
     {"CommBufferHeader.doorbell_capacity", FieldOrderKind::kPlain},
-    {"CommBufferHeader.shard_count", FieldOrderKind::kPlain},
-    {"CommBufferHeader.endpoints_per_shard", FieldOrderKind::kPlain},
     {"CommBufferHeader.endpoint_table_offset", FieldOrderKind::kPlain},
     {"CommBufferHeader.telemetry_offset", FieldOrderKind::kPlain},
     {"CommBufferHeader.cell_arena_offset", FieldOrderKind::kPlain},
@@ -388,7 +359,6 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     // Arena cell arrays (below)
     {"BufferQueue.cells", FieldOrderKind::kDataCell},
     {"DoorbellRing.cells", FieldOrderKind::kCursor},
-    {"HandoffRing.slot_tags", FieldOrderKind::kCursor},
 };
 
 // Cell ARENAS have no fixed offset (they are sized per region by the
@@ -405,20 +375,16 @@ struct ArenaOwnership {
 inline constexpr ArenaOwnership kArenaCellOwnership[] = {
     {"BufferQueue.cells", ownership_internal::kApp},
     {"DoorbellRing.cells", ownership_internal::kApp},
-    // Handoff-ring slot tags: engine-side, written only by the PRODUCER
-    // shard (lap-tag publication, kCursor: the consumer's acquire Read pairs
-    // with the producer's Publish). Shard-confined at run time.
-    {"HandoffRing.slot_tags", ownership_internal::kEng},
 };
 
-// Handoff words: shared cells whose OWNERSHIP ALTERNATES with the buffer's
+// Alternating-writer words: shared cells whose OWNERSHIP ALTERNATES with the buffer's
 // queue position (paper Figure 3's per-buffer state field and the peer
 // address beside it). They cannot carry a static writer; the transition
 // direction is checked at runtime instead (boundary_check.h,
 // CheckHandoffStore). The static auditor exempts accesses to these members
 // from the single-writer role rule — every other unresolved cell write is
 // an error, so new shared cells must be declared here or in the tables.
-inline constexpr const char* kHandoffMembers[] = {
+inline constexpr const char* kAlternatingWriterMembers[] = {
     "peer",  // MsgHeader.peer: app writes dst before send, engine writes src
              // on delivery
 };
@@ -451,8 +417,6 @@ inline constexpr AuditAlias kAuditAliases[] = {
     // padded in-region variant's fields match the table names directly.
     {"DropCounter", "dropped_", "PaddedDropCounterParts.dropped"},
     {"DropCounter", "reclaimed_", "PaddedDropCounterParts.reclaimed"},
-    // The handoff ring's slot-tag vector.
-    {"SpscHandoffRing", "tags_", "HandoffRing.slot_tags"},
 };
 
 // ---- Lint predicates -------------------------------------------------------
@@ -526,10 +490,6 @@ static_assert(CacheLinesHaveSingleWriter(kCommBufferHeaderOwnership),
               "CommBufferHeader: a cache line mixes words with distinct writers");
 static_assert(FieldsAlignedWithinLines(kCommBufferHeaderOwnership),
               "CommBufferHeader: a shared field is misaligned or straddles a cache line");
-static_assert(CacheLinesHaveSingleWriter(kHandoffCursorsOwnership),
-              "HandoffCursors: a cache line mixes producer- and consumer-shard words");
-static_assert(FieldsAlignedWithinLines(kHandoffCursorsOwnership),
-              "HandoffCursors: a shared field is misaligned or straddles a cache line");
 
 // Registers every checked cell of a table with the ownership race detector,
 // at `base` + field offset. No-op unless FLIPC_CHECK_SINGLE_WRITER.
@@ -544,32 +504,6 @@ inline void DeclareOwnersFromTable(void* base, const FieldOwnership (&fields)[N]
     }
   } else {
     (void)base;
-  }
-}
-
-// Shard-qualified variant for structures owned by one shard planner: the
-// table's ENGINE-written cells are declared with `engine_shard` so a write
-// from a planner bound to a different shard aborts; application-written
-// cells stay unqualified (every app thread may write them regardless of
-// which shard serves the endpoint).
-template <std::size_t N>
-inline void DeclareOwnersFromTable(void* base, const FieldOwnership (&fields)[N],
-                                   std::uint32_t engine_shard) {
-  if constexpr (waitfree::kBoundaryCheckEnabled) {
-    for (std::size_t i = 0; i < N; ++i) {
-      if (!fields[i].checked_cell) {
-        continue;
-      }
-      auto* cell = static_cast<std::byte*>(base) + fields[i].offset;
-      if (fields[i].writer == waitfree::Writer::kEngine) {
-        waitfree::DeclareCellOwner(cell, fields[i].writer, engine_shard, fields[i].name);
-      } else {
-        waitfree::DeclareCellOwner(cell, fields[i].writer, fields[i].name);
-      }
-    }
-  } else {
-    (void)base;
-    (void)engine_shard;
   }
 }
 

@@ -88,7 +88,6 @@ SimFabric::SimFabric(Simulator& sim, std::unique_ptr<LinkModel> link_model,
     : sim_(sim),
       link_model_(std::move(link_model)),
       options_(std::move(options)),
-      fault_rng_(options_.fault_seed),
       plan_rng_(options_.fault_plan.seed),
       link_free_at_(node_count, 0),
       last_arrival_(static_cast<std::size_t>(node_count) * node_count, 0) {
@@ -172,16 +171,11 @@ Status SimFabric::SendFrom(NodeId src, Packet packet) {
   ++packets_sent_;
   bytes_sent_ += packet.wire_size();
 
-  if (options_.drop_probability > 0.0 && fault_rng_.Chance(options_.drop_probability)) {
-    ++packets_dropped_;
-    return OkStatus();  // Silent loss, as a faulty interconnect would be.
-  }
-
   DurationNs fault_delay = 0;
   if (!options_.fault_plan.Empty() &&
       ApplyFaultPlan(src, packet.dst_node, seq, &fault_delay)) {
     ++packets_dropped_;
-    return OkStatus();  // Same silent loss as above — the plan just decides when.
+    return OkStatus();  // Silent loss, as a faulty interconnect would be.
   }
 
   const std::size_t wire_bytes = packet.wire_size();

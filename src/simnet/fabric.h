@@ -70,10 +70,9 @@ class Fabric {
 // and prove that runs replay bit-identically.
 //
 // Seeding contract (the determinism tests depend on every clause):
-//   * All plan randomness comes from ONE xoshiro generator seeded with
-//     `seed` at fabric construction (separate from the legacy
-//     drop_probability stream, which keeps its own draws for backward
-//     compatibility).
+//   * All fabric randomness comes from ONE xoshiro generator seeded with
+//     `seed` at fabric construction. A uniform random loss is an any->any
+//     LinkFault with that drop_probability.
 //   * The generator advances exactly once per probabilistic decision: one
 //     draw per matching LinkFault whose drop_probability is in (0, 1),
 //     evaluated in rule-list order, per SendFrom call. Deterministic rules
@@ -150,11 +149,6 @@ std::string FormatFaultLog(const std::vector<FaultEvent>& events);
 class SimFabric final : public Fabric {
  public:
   struct Options {
-    // Probability of silently dropping a packet (tests only; FLIPC assumes
-    // a reliable interconnect, and the default models that). Draws from its
-    // own fault_seed-seeded stream, independent of the fault plan's.
-    double drop_probability = 0.0;
-    std::uint64_t fault_seed = 1;
     // Scheduled fault injection (drops, delays, outages, partitions); an
     // empty plan (the default) leaves the fabric perfectly reliable and
     // keeps the fault log empty.
@@ -195,7 +189,6 @@ class SimFabric final : public Fabric {
   Simulator& sim_;
   std::unique_ptr<LinkModel> link_model_;
   Options options_;
-  Rng fault_rng_;
   Rng plan_rng_;
   std::vector<FaultEvent> fault_events_;
 

@@ -26,7 +26,6 @@ namespace {
 
 struct CellOwnership {
   Writer owner;
-  std::uint32_t shard;
   const char* label;
 };
 
@@ -69,7 +68,6 @@ Registry* PeekRegistry() { return g_registry.load(std::memory_order_acquire); }
 struct ThreadBoundaryState {
   bool bound = false;
   Writer role = Writer::kApplication;
-  std::uint32_t shard = kShardAny;
   int exempt_depth = 0;
 };
 
@@ -81,18 +79,13 @@ ThreadBoundaryState& Tls() {
 }  // namespace
 
 void DeclareCellOwner(const void* cell, Writer owner, const char* label) {
-  DeclareCellOwner(cell, owner, kShardAny, label);
-}
-
-void DeclareCellOwner(const void* cell, Writer owner, std::uint32_t shard,
-                      const char* label) {
   // Declarations happen at setup time, off the hot path; the registry (and
   // the map nodes inserted under the exclusive lock) are checker-internal.
   FLIPC_HOT_PATH_EXEMPT("single-writer checker bookkeeping");
   Registry& registry = GetOrCreateRegistry();
   std::unique_lock lock(registry.mutex);
   auto [it, inserted] =
-      registry.cells.try_emplace(cell, CellOwnership{owner, shard, label});
+      registry.cells.try_emplace(cell, CellOwnership{owner, label});
   if (!inserted && it->second.owner != owner) {
     char message[256];
     std::snprintf(message, sizeof(message),
@@ -103,7 +96,6 @@ void DeclareCellOwner(const void* cell, Writer owner, std::uint32_t shard,
     lock.unlock();
     BoundaryPanic(message);
   }
-  it->second.shard = shard;
   it->second.label = label;
 }
 
@@ -137,7 +129,6 @@ void CheckCellWrite(const void* cell) {
     return;  // nothing declared yet, nothing to check
   }
   Writer owner;
-  std::uint32_t shard;
   const char* label;
   {
     // Checker-internal bookkeeping: the registry lookup takes the shared
@@ -154,7 +145,6 @@ void CheckCellWrite(const void* cell) {
       return;  // Undeclared cells (test fixtures, message headers) are unchecked.
     }
     owner = it->second.owner;
-    shard = it->second.shard;
     label = it->second.label;
   }
   if (owner != state.role) {
@@ -165,21 +155,12 @@ void CheckCellWrite(const void* cell) {
                   cell, label, WriterName(owner), WriterName(state.role));
     BoundaryPanic(message);
   }
-  if (shard != kShardAny && state.shard != kShardAny && shard != state.shard) {
-    char message[256];
-    std::snprintf(message, sizeof(message),
-                  "cell %p (%s) is owned by %s shard %u but was written by a thread "
-                  "bound to shard %u",
-                  cell, label, WriterName(owner), shard, state.shard);
-    BoundaryPanic(message);
-  }
 }
 
-void BoundaryRole::BindCurrentThread(Writer role, std::uint32_t shard) {
+void BoundaryRole::BindCurrentThread(Writer role) {
   ThreadBoundaryState& state = Tls();
   state.bound = true;
   state.role = role;
-  state.shard = shard;
 }
 
 void BoundaryRole::UnbindCurrentThread() { Tls().bound = false; }
@@ -188,23 +169,18 @@ bool BoundaryRole::IsBound() { return Tls().bound; }
 
 Writer BoundaryRole::Current() { return Tls().role; }
 
-std::uint32_t BoundaryRole::CurrentShard() { return Tls().shard; }
-
-ScopedBoundaryRole::ScopedBoundaryRole(Writer role, std::uint32_t shard) {
+ScopedBoundaryRole::ScopedBoundaryRole(Writer role) {
   ThreadBoundaryState& state = Tls();
   prev_bound_ = state.bound;
   prev_role_ = state.role;
-  prev_shard_ = state.shard;
   state.bound = true;
   state.role = role;
-  state.shard = shard;
 }
 
 ScopedBoundaryRole::~ScopedBoundaryRole() {
   ThreadBoundaryState& state = Tls();
   state.bound = prev_bound_;
   state.role = prev_role_;
-  state.shard = prev_shard_;
 }
 
 ScopedBoundaryExemption::ScopedBoundaryExemption() { ++Tls().exempt_depth; }

@@ -47,14 +47,6 @@ constexpr const char* WriterName(Writer w) {
   return w == Writer::kApplication ? "application" : "engine";
 }
 
-// Shard qualifier for engine-owned cells. With the sharded engine (one
-// planner per endpoint range), "the engine writes this cell" refines to
-// "engine shard S writes this cell": a cell may be declared with a specific
-// shard, and an engine thread binds the shard it plans for. kShardAny keeps
-// the legacy two-role behavior — unqualified declarations match any shard,
-// unqualified engine threads match any cell.
-inline constexpr std::uint32_t kShardAny = 0xffffffffu;
-
 // Prints `message` prefixed with "FLIPC protection-boundary violation" to
 // stderr and aborts. Used by the ownership checker and by protocol asserts
 // in checking mode; defined unconditionally so headers can call it.
@@ -70,13 +62,6 @@ inline constexpr bool kBoundaryCheckEnabled = true;
 // the boundary). `label` should name the field, e.g. "EndpointRecord.process_count".
 void DeclareCellOwner(const void* cell, Writer owner, const char* label);
 
-// Shard-qualified declaration: additionally records which engine shard owns
-// the cell. Only meaningful for engine-owned cells; a thread bound to a
-// specific other shard that writes the cell aborts. kShardAny behaves like
-// the unqualified overload.
-void DeclareCellOwner(const void* cell, Writer owner, std::uint32_t shard,
-                      const char* label);
-
 // Removes declarations for every cell in [base, base + size): call when the
 // memory holding declared cells is released or reformatted, so a later
 // unrelated object at the same address does not inherit stale ownership.
@@ -91,14 +76,12 @@ void CheckCellWrite(const void* cell);
 
 struct BoundaryRole {
   // Binds the calling thread to one side of the boundary for its lifetime
-  // (or until Unbind). Engine threads bind kEngine at startup; shard
-  // planners pass their shard id so writes to another shard's cells abort.
-  static void BindCurrentThread(Writer role, std::uint32_t shard = kShardAny);
+  // (or until Unbind). Engine threads bind kEngine at startup.
+  static void BindCurrentThread(Writer role);
   static void UnbindCurrentThread();
   // Whether the calling thread currently has a bound role, and which.
   static bool IsBound();
-  static Writer Current();       // Only meaningful when IsBound().
-  static std::uint32_t CurrentShard();  // Only meaningful when IsBound().
+  static Writer Current();  // Only meaningful when IsBound().
 };
 
 // Binds a role for a scope, saving and restoring the previous binding, so
@@ -106,7 +89,7 @@ struct BoundaryRole {
 // both sides from one thread.
 class ScopedBoundaryRole {
  public:
-  explicit ScopedBoundaryRole(Writer role, std::uint32_t shard = kShardAny);
+  explicit ScopedBoundaryRole(Writer role);
   ~ScopedBoundaryRole();
   ScopedBoundaryRole(const ScopedBoundaryRole&) = delete;
   ScopedBoundaryRole& operator=(const ScopedBoundaryRole&) = delete;
@@ -114,7 +97,6 @@ class ScopedBoundaryRole {
  private:
   bool prev_bound_;
   Writer prev_role_;
-  std::uint32_t prev_shard_;
 };
 
 // Suspends ownership checking for a scope. For quiescent-state writes that
@@ -138,21 +120,19 @@ void CheckHandoffStore(const void* cell, std::uint32_t state_value);
 inline constexpr bool kBoundaryCheckEnabled = false;
 
 inline void DeclareCellOwner(const void*, Writer, const char*) {}
-inline void DeclareCellOwner(const void*, Writer, std::uint32_t, const char*) {}
 inline void UndeclareCellRange(const void*, std::size_t) {}
 inline void CheckCellWrite(const void*) {}
 
 struct BoundaryRole {
-  static void BindCurrentThread(Writer, std::uint32_t = kShardAny) {}
+  static void BindCurrentThread(Writer) {}
   static void UnbindCurrentThread() {}
   static bool IsBound() { return false; }
   static Writer Current() { return Writer::kApplication; }
-  static std::uint32_t CurrentShard() { return kShardAny; }
 };
 
 class ScopedBoundaryRole {
  public:
-  explicit ScopedBoundaryRole(Writer, std::uint32_t = kShardAny) {}
+  explicit ScopedBoundaryRole(Writer) {}
   ScopedBoundaryRole(const ScopedBoundaryRole&) = delete;
   ScopedBoundaryRole& operator=(const ScopedBoundaryRole&) = delete;
 };

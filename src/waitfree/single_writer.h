@@ -50,13 +50,6 @@ class SingleWriterCell {
     DeclareCellOwner(this, owner, label);
   }
 
-  // Shard-qualified declaration: engine-owned cells belonging to one shard
-  // planner (per-shard doorbell head, handoff ring cursors) record the
-  // owning shard so a wrong-shard engine write aborts too.
-  void DeclareOwner(Writer owner, std::uint32_t shard, const char* label) {
-    DeclareCellOwner(this, owner, shard, label);
-  }
-
   // Reader side.
   T Read() const { return value_.load(std::memory_order_acquire); }
   T ReadRelaxed() const { return value_.load(std::memory_order_relaxed); }

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <string>
 #include <thread>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -226,114 +225,6 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
     ++received;
   }
   EXPECT_EQ(sink->DropCount(), 0u);
-}
-
-TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
-  // Two planner shards per node over the shared transmit backend. Endpoints
-  // on shard 1 of the receiving node are reachable only through the
-  // distributor's handoff ring, so this exercises the full threaded path:
-  // app send -> wire -> distributor poll -> SPSC handoff -> shard-1 planner
-  // -> delivery. Pinning is off: CI containers may expose a single CPU and
-  // placement is best-effort anyway.
-  Cluster::Options options;
-  options.node_count = 2;
-  options.comm.message_size = 128;
-  options.comm.buffer_count = 256;
-  options.comm.max_endpoints = 16;
-  options.comm.shard_count = 2;
-  options.pin_shard_threads = false;
-  auto cluster_or = Cluster::Create(options);
-  ASSERT_TRUE(cluster_or.ok());
-  auto cluster = std::move(cluster_or).value();
-  ASSERT_EQ(cluster->shard_count(), 2u);
-  cluster->Start();
-
-  Domain& a = cluster->domain(0);
-  Domain& b = cluster->domain(1);
-
-  // One receive endpoint in each shard of node 1: rx0 is delivered directly
-  // by the distributor, rx1 only via the handoff ring. No flow control:
-  // no-loss holds by static sizing, each posting a buffer for every message
-  // it will receive.
-  constexpr std::uint32_t kPerEndpoint = 64;
-  auto rx0 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = kPerEndpoint, .shard = 0});
-  auto rx1 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = kPerEndpoint, .shard = 1});
-  ASSERT_TRUE(rx0.ok() && rx1.ok());
-  EXPECT_LT(rx0->index(), 8u);   // shard 0 owns slots [0, 8)
-  EXPECT_GE(rx1->index(), 8u);   // shard 1 owns slots [8, 16)
-  for (auto* rx : {&*rx0, &*rx1}) {
-    for (std::uint32_t i = 0; i < kPerEndpoint; ++i) {
-      auto buffer = b.AllocateBuffer();
-      ASSERT_TRUE(buffer.ok());
-      ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
-    }
-  }
-
-  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 8});
-  ASSERT_TRUE(tx.ok());
-
-  // Alternate destinations so the distributor interleaves direct delivery
-  // with handoff pushes; per-endpoint FIFO must survive the split.
-  auto msg = a.AllocateBuffer();
-  ASSERT_TRUE(msg.ok());
-  std::uint32_t expect0 = 0, expect1 = 0, got0 = 0, got1 = 0;
-  for (std::uint32_t i = 0; i < 2 * kPerEndpoint; ++i) {
-    Endpoint& dst = (i % 2 == 0) ? *rx0 : *rx1;
-    *msg->As<std::uint32_t>() = i / 2;
-    ASSERT_TRUE(tx->Send(*msg, dst.address()).ok());
-    msg = *PollUntilOk([&] { return tx->Reclaim(); });
-
-    // Drain opportunistically so receives overlap the flood; the final
-    // drain below picks up the rest.
-    for (auto [rx, expect, got] :
-         {std::tuple{&*rx0, &expect0, &got0}, std::tuple{&*rx1, &expect1, &got1}}) {
-      auto message = rx->Receive();
-      if (message.ok()) {
-        EXPECT_EQ(*message->As<std::uint32_t>(), (*expect)++);
-        ASSERT_TRUE(rx->PostBuffer(*message).ok());
-        ++*got;
-      }
-    }
-  }
-  while (got0 < kPerEndpoint) {
-    auto message = PollUntilOk([&] { return rx0->Receive(); });
-    ASSERT_TRUE(message.ok());
-    EXPECT_EQ(*message->As<std::uint32_t>(), expect0++);
-    ASSERT_TRUE(rx0->PostBuffer(*message).ok());
-    ++got0;
-  }
-  while (got1 < kPerEndpoint) {
-    auto message = PollUntilOk([&] { return rx1->Receive(); });
-    ASSERT_TRUE(message.ok());
-    EXPECT_EQ(*message->As<std::uint32_t>(), expect1++);
-    ASSERT_TRUE(rx1->PostBuffer(*message).ok());
-    ++got1;
-  }
-  EXPECT_EQ(rx0->DropCount(), 0u);
-  EXPECT_EQ(rx1->DropCount(), 0u);
-
-  cluster->Stop();  // Quiesce the planner threads before reading stats.
-
-  // Every rx1 message crossed the handoff ring; none of rx0's did. The
-  // conservation law: everything the distributor pushed, shard 1 popped.
-  const auto& dist = cluster->engine(1, 0).stats();
-  const auto& shard1 = cluster->engine(1, 1).stats();
-  EXPECT_EQ(dist.handoff_pushed, kPerEndpoint);
-  EXPECT_EQ(shard1.handoff_popped, kPerEndpoint);
-  EXPECT_EQ(shard1.handoff_pushed, 0u);
-  EXPECT_GE(dist.messages_delivered, kPerEndpoint);   // rx0 traffic
-  EXPECT_GE(shard1.messages_delivered, kPerEndpoint); // rx1 traffic
-
-  // Aggregate view: sums of the per-shard counters, identities intact.
-  const auto total = cluster->aggregate_stats(1);
-  EXPECT_EQ(total.messages_delivered,
-            dist.messages_delivered + shard1.messages_delivered);
-  EXPECT_EQ(total.handoff_pushed, total.handoff_popped);
-  EXPECT_EQ(total.backstop_sweeps, total.doorbell_overflows +
-                                       total.sweeps_periodic +
-                                       total.sweeps_no_candidate);
 }
 
 TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {

@@ -470,251 +470,6 @@ TEST_F(EngineTest, HasWorkTracksState) {
   EXPECT_FALSE(engine_[0]->HasWork());
 }
 
-// ----------------------------- Sharded engine --------------------------------
-
-// Node 0 is a classic single-shard sender; node 1 runs two shard planners
-// over one communication buffer: shard 0 (the distributor — sole wire
-// poller) and shard 1, connected by a hand-wired SPSC handoff ring. Every
-// test steps each planner explicitly, so the cross-shard interleavings are
-// exact (DESIGN.md §12).
-class ShardedEngineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    fabric_ = std::make_unique<simnet::SimFabric>(
-        sim_, std::make_unique<simnet::MeshLinkModel>(), 2);
-
-    shm::CommBufferConfig tx_config;
-    tx_config.message_size = 128;
-    tx_config.buffer_count = 32;
-    tx_config.max_endpoints = 8;
-    auto tx_comm = CommBuffer::Create(tx_config);
-    ASSERT_TRUE(tx_comm.ok());
-    tx_comm_ = std::move(tx_comm).value();
-    tx_engine_ = std::make_unique<MessagingEngine>(*tx_comm_, fabric_->wire(0),
-                                                   EngineOptions{}, &model_);
-
-    shm::CommBufferConfig rx_config;
-    rx_config.message_size = 128;
-    rx_config.buffer_count = 32;
-    rx_config.max_endpoints = 8;  // 2 shards x 4 endpoints
-    rx_config.shard_count = 2;
-    auto rx_comm = CommBuffer::Create(rx_config);
-    ASSERT_TRUE(rx_comm.ok());
-    rx_comm_ = std::move(rx_comm).value();
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      EngineOptions options;
-      options.shard_id = s;
-      shard_[s] = std::make_unique<MessagingEngine>(*rx_comm_, fabric_->wire(1),
-                                                    options, &model_);
-    }
-  }
-
-  // Wires the distributor→shard-1 handoff ring (capacity rounds up to a
-  // power of two). Separate from SetUp so tests can pick a tiny ring.
-  void WireHandoff(std::uint32_t capacity) {
-    handoff_ = std::make_unique<MessagingEngine::HandoffRing>(
-        capacity, /*producer_shard=*/0, /*consumer_shard=*/1);
-    shard_[0]->SetHandoffOutbox(1, handoff_.get());
-    shard_[1]->SetHandoffInbox(handoff_.get());
-  }
-
-  // Allocates a receive endpoint on node 1 inside `shard`.
-  std::uint32_t MakeShardReceiver(std::uint32_t shard, std::uint32_t depth = 8) {
-    CommBuffer::EndpointParams params;
-    params.type = EndpointType::kReceive;
-    params.queue_capacity = depth;
-    params.shard = shard;
-    auto index = rx_comm_->AllocateEndpoint(params);
-    EXPECT_TRUE(index.ok());
-    EXPECT_EQ(rx_comm_->shard_of(*index), shard);
-    return *index;
-  }
-
-  BufferIndex PostRecvBuffer(std::uint32_t endpoint) {
-    auto buffer = rx_comm_->AllocateBuffer();
-    EXPECT_TRUE(buffer.ok());
-    rx_comm_->msg(*buffer).header->state.Store(MsgState::kReady);
-    EXPECT_TRUE(rx_comm_->queue(endpoint).Release(*buffer));
-    return *buffer;
-  }
-
-  BufferIndex QueueSend(std::uint32_t endpoint, Address dst, const char* text = "hello") {
-    auto buffer = tx_comm_->AllocateBuffer();
-    EXPECT_TRUE(buffer.ok());
-    shm::MsgView view = tx_comm_->msg(*buffer);
-    std::memcpy(view.payload, text, std::strlen(text) + 1);
-    view.header->set_peer_address(dst);
-    view.header->state.Store(MsgState::kReady);
-    EXPECT_TRUE(tx_comm_->queue(endpoint).Release(*buffer));
-    return *buffer;
-  }
-
-  std::uint32_t MakeSender(std::uint32_t depth = 8) {
-    CommBuffer::EndpointParams params;
-    params.type = EndpointType::kSend;
-    params.queue_capacity = depth;
-    auto index = tx_comm_->AllocateEndpoint(params);
-    EXPECT_TRUE(index.ok());
-    return *index;
-  }
-
-  // Runs sender, fabric, and both shard planners to quiescence.
-  void RunAll() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      progress |= tx_engine_->Step();
-      progress |= shard_[0]->Step();
-      progress |= shard_[1]->Step();
-      if (sim_.pending_events() > 0) {
-        sim_.Run();
-        progress = true;
-      }
-    }
-  }
-
-  simnet::Simulator sim_;
-  PlatformModel model_;
-  std::unique_ptr<simnet::SimFabric> fabric_;
-  std::unique_ptr<CommBuffer> tx_comm_;
-  std::unique_ptr<CommBuffer> rx_comm_;
-  std::unique_ptr<MessagingEngine> tx_engine_;
-  std::unique_ptr<MessagingEngine> shard_[2];
-  std::unique_ptr<MessagingEngine::HandoffRing> handoff_;
-};
-
-TEST_F(ShardedEngineTest, GeometryAndRolesPublished) {
-  EXPECT_EQ(rx_comm_->shard_count(), 2u);
-  EXPECT_EQ(rx_comm_->endpoints_per_shard(), 4u);
-  EXPECT_TRUE(shard_[0]->is_distributor());
-  EXPECT_FALSE(shard_[1]->is_distributor());
-  EXPECT_EQ(shard_[0]->shard_first_endpoint(), 0u);
-  EXPECT_EQ(shard_[0]->shard_end_endpoint(), 4u);
-  EXPECT_EQ(shard_[1]->shard_first_endpoint(), 4u);
-  EXPECT_EQ(shard_[1]->shard_end_endpoint(), 8u);
-  const std::uint32_t rx = MakeShardReceiver(1);
-  EXPECT_EQ(rx_comm_->endpoint(rx).shard.ReadRelaxed(), 1u);
-}
-
-TEST_F(ShardedEngineTest, CrossShardDeliveryThroughHandoff) {
-  WireHandoff(8);
-  const std::uint32_t tx = MakeSender();
-  const std::uint32_t rx = MakeShardReceiver(1);
-  const BufferIndex rx_buf = PostRecvBuffer(rx);
-  QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx)), "cross");
-
-  RunAll();
-
-  // The distributor routed the packet instead of delivering it...
-  EXPECT_EQ(shard_[0]->stats().handoff_pushed, 1u);
-  EXPECT_EQ(shard_[0]->stats().messages_delivered, 0u);
-  // ...and the owning planner popped and delivered it.
-  EXPECT_EQ(shard_[1]->stats().handoff_popped, 1u);
-  EXPECT_EQ(shard_[1]->stats().messages_delivered, 1u);
-  EXPECT_EQ(rx_comm_->queue(rx).Acquire(), rx_buf);
-  shm::MsgView view = rx_comm_->msg(rx_buf);
-  EXPECT_STREQ(reinterpret_cast<const char*>(view.payload), "cross");
-}
-
-TEST_F(ShardedEngineTest, DistributorShardDeliversOwnEndpointsDirectly) {
-  WireHandoff(8);
-  const std::uint32_t tx = MakeSender();
-  const std::uint32_t rx = MakeShardReceiver(0);
-  PostRecvBuffer(rx);
-  QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx)));
-
-  RunAll();
-
-  // Shard-0 destination: no handoff, identical to the legacy single-shard
-  // delivery path.
-  EXPECT_EQ(shard_[0]->stats().handoff_pushed, 0u);
-  EXPECT_EQ(shard_[0]->stats().messages_delivered, 1u);
-  EXPECT_EQ(shard_[1]->stats().handoff_popped, 0u);
-  EXPECT_EQ(shard_[1]->stats().messages_delivered, 0u);
-}
-
-TEST_F(ShardedEngineTest, HandoffFullParksPacketAndRecovers) {
-  WireHandoff(2);  // tiny ring: capacity 2
-  const std::uint32_t tx = MakeSender();
-  const std::uint32_t rx = MakeShardReceiver(1);
-  constexpr int kMessages = 6;
-  BufferIndex rx_bufs[kMessages];
-  for (int i = 0; i < kMessages; ++i) {
-    rx_bufs[i] = PostRecvBuffer(rx);
-  }
-  char text[16];
-  for (int i = 0; i < kMessages; ++i) {
-    std::snprintf(text, sizeof(text), "msg%d", i);
-    QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx)), text);
-  }
-
-  // Transmit everything and run ONLY the distributor: it fills the ring,
-  // then parks one packet and stalls wire polling (bounded memory — the
-  // rest stay queued on the fabric side).
-  while (tx_engine_->Step()) {
-  }
-  sim_.Run();
-  while (shard_[0]->Step()) {
-  }
-  EXPECT_EQ(shard_[0]->stats().handoff_pushed, 2u);
-  EXPECT_GE(shard_[0]->stats().handoff_full_retries, 1u);
-  EXPECT_TRUE(shard_[0]->HasWork());  // parked packet keeps the planner live
-
-  // Consumer progress restores distributor liveness: draining the ring lets
-  // the parked packet and every remaining wire packet through, in order.
-  RunAll();
-  EXPECT_EQ(shard_[1]->stats().handoff_popped, static_cast<std::uint64_t>(kMessages));
-  EXPECT_EQ(shard_[1]->stats().messages_delivered, static_cast<std::uint64_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) {
-    const BufferIndex buffer = rx_comm_->queue(rx).Acquire();
-    EXPECT_EQ(buffer, rx_bufs[i]);
-    std::snprintf(text, sizeof(text), "msg%d", i);
-    EXPECT_STREQ(reinterpret_cast<const char*>(rx_comm_->msg(buffer).payload), text);
-  }
-}
-
-TEST_F(ShardedEngineTest, UnwiredConsumerShardCountsDrop) {
-  // No WireHandoff: a cross-shard destination with no ring is a plumbing
-  // error, counted like any other undeliverable address.
-  const std::uint32_t tx = MakeSender();
-  const std::uint32_t rx = MakeShardReceiver(1);
-  PostRecvBuffer(rx);
-  QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx)));
-
-  RunAll();
-
-  EXPECT_EQ(shard_[0]->stats().handoff_pushed, 0u);
-  EXPECT_EQ(shard_[1]->stats().messages_delivered, 0u);
-  EXPECT_EQ(shard_[0]->stats().drops_bad_address, 1u);
-}
-
-TEST_F(ShardedEngineTest, PerShardStatsAggregateKeepsIdentities) {
-  WireHandoff(8);
-  const std::uint32_t tx = MakeSender();
-  const std::uint32_t rx0 = MakeShardReceiver(0);
-  const std::uint32_t rx1 = MakeShardReceiver(1);
-  PostRecvBuffer(rx0);
-  PostRecvBuffer(rx1);
-  QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx0)));
-  QueueSend(tx, Address(1, static_cast<std::uint16_t>(rx1)));
-
-  RunAll();
-
-  EngineStats total;
-  total.Add(shard_[0]->stats());
-  total.Add(shard_[1]->stats());
-  EXPECT_EQ(total.messages_delivered, 2u);
-  EXPECT_EQ(total.handoff_pushed, total.handoff_popped);
-  // The backstop identity is linear, so it holds per shard and aggregate.
-  for (const MessagingEngine* engine : {shard_[0].get(), shard_[1].get()}) {
-    const EngineStats& s = engine->stats();
-    EXPECT_EQ(s.backstop_sweeps,
-              s.doorbell_overflows + s.sweeps_periodic + s.sweeps_no_candidate);
-  }
-  EXPECT_EQ(total.backstop_sweeps, total.doorbell_overflows + total.sweeps_periodic +
-                                       total.sweeps_no_candidate);
-}
-
 // A planner dies with queued work and published doorbells; a fresh engine
 // built over the abandoned comm buffer rebuilds its scheduling state from
 // the authoritative queue cursors (DESIGN.md §14) and finishes the job.

@@ -2,11 +2,11 @@
 // recovery, endpoint churn under load, and stale-doorbell tolerance.
 //
 // The recovery invariant under test everywhere: the communication buffer's
-// queue cursors are the truth, so killing a planner mid-traffic and
+// queue cursors are the truth, so killing an engine mid-traffic and
 // rebuilding a fresh engine over the abandoned buffer
 // (MessagingEngine::RecoverFromBuffer) must lose nothing beyond the
 // documented legitimate losses — the dead engine's private heap (its stats
-// and any single in-flight packet it held) — and the comm-buffer-resident
+// and any planned packet it held) — and the comm-buffer-resident
 // telemetry counter identities must hold afterwards exactly as they do on
 // an uninterrupted run.
 //
@@ -84,85 +84,68 @@ class ScopedPostmortem {
 
 // Returns a STOPPED cluster so callers can attach TraceRings (a plain
 // pointer store, legal only before the engine threads run) and then Start.
-std::unique_ptr<Cluster> MakeShardedCluster(std::uint32_t shards,
-                                            std::uint32_t buffer_count = 256) {
+std::unique_ptr<Cluster> MakeStoppedCluster(std::uint32_t buffer_count = 256) {
   Cluster::Options options;
   options.node_count = 2;
   options.comm.message_size = 128;
   options.comm.buffer_count = buffer_count;
   options.comm.max_endpoints = 16;
-  options.comm.shard_count = shards;
-  options.pin_shard_threads = false;  // CI containers may expose one CPU.
   auto cluster = Cluster::Create(options);
   EXPECT_TRUE(cluster.ok());
   return std::move(cluster).value();
 }
 
-// Kills and restarts one planner shard of the receiving node mid-flood and
-// proves the recovery invariant: every message is accounted for as a
-// delivery or an optimistic discard (app-level conservation), and the
-// comm-buffer telemetry identities audit clean afterwards.
-void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
-                         const char* test_name) {
-  // TraceRings are single-writer: one flight recorder per planner shard,
-  // never shared. A restarted engine is a new object, so its ring must be
-  // re-attached after RestartShard. Declared before the postmortem, whose
-  // destructor reads them.
-  TraceRing rx_trace[2] = {TraceRing(8192), TraceRing(8192)};
-  ScopedPostmortem postmortem(test_name);
+// Kills and restarts the receiving node's engine mid-flood and proves the
+// recovery invariant: every message is accounted for as a delivery or an
+// optimistic discard (app-level conservation), and the comm-buffer
+// telemetry identities audit clean afterwards.
+//
+// The loss budget is 0. KillEngine stops the runner, whose loop commits
+// each planned unit inside the same Step() before it checks for stop, so
+// the dead engine holds no packet: everything sent while it is down waits
+// in the wire inbox or behind the queue cursors, which outlive it.
+TEST(FailureScenarios, KillRestartEngineMidFlood) {
+  // TraceRings are single-writer: one flight recorder per engine, never
+  // shared. Declared before the postmortem, whose destructor reads it.
+  TraceRing rx_trace(8192);
+  ScopedPostmortem postmortem("KillRestartEngineMidFlood");
 
   constexpr std::uint64_t kMessages = 600;
   constexpr std::uint64_t kKillAt = 150;
   constexpr std::uint64_t kRestartAt = 300;
-  // The flood alternates endpoints, so each receives kMessages / 2.
-  constexpr std::uint32_t kPerEndpoint = kMessages / 2;
 
-  auto cluster = MakeShardedCluster(2, /*buffer_count=*/1024);
+  auto cluster = MakeStoppedCluster(/*buffer_count=*/1024);
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    cluster->engine(1, s).SetTrace(&rx_trace[s]);
-    postmortem.Attach(&rx_trace[s]);
-  }
+  cluster->engine(1).SetTrace(&rx_trace);
+  postmortem.Attach(&rx_trace);
   cluster->Start();
 
-  // One receive endpoint per shard of node 1; the flood alternates between
-  // them so the surviving shard keeps delivering while the victim is dead.
-  // No flow control: delivery holds by static sizing. Each endpoint posts a
-  // buffer for every message the flood sends it, so neither a starved
+  // No flow control: delivery holds by static sizing. The receive endpoint
+  // posts a buffer for every message of the flood, so neither a starved
   // receiver thread nor the restarted engine's burst of packets queued
   // while it was dead can meet an empty receive queue.
-  auto rx0 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 512, .shard = 0});
-  auto rx1 = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 512, .shard = 1});
-  ASSERT_TRUE(rx0.ok() && rx1.ok());
-  for (auto* rx : {&*rx0, &*rx1}) {
-    for (std::uint32_t i = 0; i < kPerEndpoint; ++i) {
-      auto buffer = b.AllocateBuffer();
-      ASSERT_TRUE(buffer.ok());
-      ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
-    }
+  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 1024});
+  ASSERT_TRUE(rx.ok());
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    auto buffer = b.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
   }
   auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 8});
   ASSERT_TRUE(tx.ok());
 
-  // Receiver thread: drain both endpoints, reposting every buffer, until
+  // Receiver thread: drain the endpoint, reposting every buffer, until
   // told the flood is fully accounted for.
   std::atomic<std::uint64_t> received{0};
   std::atomic<bool> stop_receiving{false};
   std::thread receiver([&] {
     while (!stop_receiving.load(std::memory_order_acquire)) {
-      bool any = false;
-      for (auto* rx : {&*rx0, &*rx1}) {
-        auto message = rx->Receive();
-        if (message.ok()) {
-          ASSERT_TRUE(rx->PostBuffer(*message).ok());
-          received.fetch_add(1, std::memory_order_relaxed);
-          any = true;
-        }
-      }
-      if (!any) {
+      auto message = rx->Receive();
+      if (message.ok()) {
+        ASSERT_TRUE(rx->PostBuffer(*message).ok());
+        received.fetch_add(1, std::memory_order_relaxed);
+      } else {
         std::this_thread::yield();
       }
     }
@@ -172,48 +155,42 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   ASSERT_TRUE(msg.ok());
   for (std::uint64_t i = 0; i < kMessages; ++i) {
     if (i == kKillAt) {
-      ASSERT_TRUE(cluster->KillShard(1, victim_shard));
-      ASSERT_FALSE(cluster->shard_alive(1, victim_shard));
-      ASSERT_FALSE(cluster->KillShard(1, victim_shard));  // already dead
+      ASSERT_TRUE(cluster->KillEngine(1));
+      ASSERT_FALSE(cluster->engine_alive(1));
+      ASSERT_FALSE(cluster->KillEngine(1));  // already dead
     }
     if (i == kRestartAt) {
-      ASSERT_TRUE(cluster->RestartShard(1, victim_shard));
-      ASSERT_TRUE(cluster->shard_alive(1, victim_shard));
-      ASSERT_FALSE(cluster->RestartShard(1, victim_shard));  // already alive
+      ASSERT_TRUE(cluster->RestartEngine(1));
+      ASSERT_TRUE(cluster->engine_alive(1));
+      ASSERT_FALSE(cluster->RestartEngine(1));  // already alive
       // The resurrected engine is deliberately NOT re-traced: its runner is
       // already live, and SetTrace is a plain store (pre-Start only). The
-      // postmortem keeps the victim's pre-kill events plus the survivor's
-      // full timeline, which is what a crash investigation has anyway.
+      // postmortem keeps the victim's pre-kill events, which is what a
+      // crash investigation has anyway.
     }
-    Endpoint& dst = (i % 2 == 0) ? *rx0 : *rx1;
     ASSERT_TRUE(PollUntilOk([&] {
-                  const Status s = tx->Send(*msg, dst.address());
+                  const Status s = tx->Send(*msg, rx->address());
                   return s.ok() ? Result<int>(0) : Result<int>(s);
                 }).ok());
     msg = *PollUntilOk([&] { return tx->Reclaim(); });
   }
 
   // Quiesce: wait until every message is accounted for as a delivery or a
-  // posted-buffer discard, within the documented loss budget (a killed
-  // engine's in-flight packets die with its heap).
+  // posted-buffer discard.
   const auto accounted = [&] {
-    return received.load(std::memory_order_relaxed) + rx0->DropCount() +
-           rx1->DropCount();
+    return received.load(std::memory_order_relaxed) + rx->DropCount();
   };
-  for (int i = 0; i < 200000 && accounted() + loss_budget < kMessages; ++i) {
+  for (int i = 0; i < 200000 && accounted() < kMessages; ++i) {
     std::this_thread::yield();
   }
   stop_receiving.store(true, std::memory_order_release);
   receiver.join();
-  EXPECT_LE(accounted(), kMessages);
-  EXPECT_GE(accounted() + loss_budget, kMessages);
+  EXPECT_EQ(accounted(), kMessages);
+  EXPECT_EQ(rx->DropCount(), 0u);
+  // Delivery resumed after restart: the flood's tail landed.
+  EXPECT_EQ(rx->ProcessedCount(), kMessages);
 
-  // Delivery resumed on the victim shard after restart: the flood's tail
-  // (post-restart messages to the victim's endpoint) landed.
-  Endpoint& victim_rx = victim_shard == 0 ? *rx0 : *rx1;
-  EXPECT_GT(victim_rx.ProcessedCount(), (kRestartAt + 1) / 2);
-
-  cluster->Stop();  // Quiesce planner threads before auditing.
+  cluster->Stop();  // Quiesce the engine threads before auditing.
 
   // The recovery stats landed on the resurrected engine.
   const auto stats = cluster->aggregate_stats(1);
@@ -223,8 +200,8 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   EXPECT_EQ(stats.backstop_sweeps,
             stats.doorbell_overflows + stats.sweeps_periodic + stats.sweeps_no_candidate);
 
-  // The telemetry counter identities are comm-buffer resident, so a planner
-  // crash must not be able to break them. This is the same audit
+  // The telemetry counter identities are comm-buffer resident, so an
+  // engine crash must not be able to break them. This is the same audit
   // flipc_inspect --metrics gates on.
   std::vector<shm::EndpointIdentityFailure> failures;
   EXPECT_EQ(shm::AuditTelemetryIdentities(a.comm(), &failures), 0);
@@ -235,30 +212,13 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   }
 }
 
-TEST(FailureScenarios, KillRestartShardMidFlood) {
-  // A dead non-distributor loses nothing: its inbound packets wait in the
-  // Node-owned handoff ring (at worst parking the distributor), and its
-  // send work waits behind the authoritative queue cursors.
-  KillRestartMidFlood(/*victim_shard=*/1, /*loss_budget=*/0,
-                      "KillRestartShardMidFlood");
-}
-
-TEST(FailureScenarios, KillRestartDistributorMidFlood) {
-  // A dead distributor may take down the only copy of up to two in-flight
-  // packets: one planned inbound/route unit and one parked handoff packet.
-  // Everything else (wire inbox, handoff rings, queue cursors) lives
-  // outside the engine and survives.
-  KillRestartMidFlood(/*victim_shard=*/0, /*loss_budget=*/2,
-                      "KillRestartDistributorMidFlood");
-}
-
 // Satellite: churn regression — create/destroy/recreate the same endpoint
 // slot 1000x while cross-traffic flows on neighboring endpoints. Asserts
 // slot reuse, cursor + telemetry zeroing on each reincarnation, and that
 // the survivors' traffic is unperturbed (no drops, full count).
 TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
   ScopedPostmortem postmortem("ChurnSlotReuseUnderCrossTraffic");
-  auto cluster = MakeShardedCluster(1);
+  auto cluster = MakeStoppedCluster();
   cluster->Start();
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
@@ -399,28 +359,24 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
 // misattributed to whatever occupies the slot now.
 class DoorbellScenarioTest : public ::testing::Test {
  protected:
-  void Init(std::uint32_t shard_count) {
+  void SetUp() override {
     shm::CommBufferConfig config;
     config.message_size = 128;
     config.buffer_count = 32;
     config.max_endpoints = 8;
-    config.shard_count = shard_count;
     fabric_ = std::make_unique<simnet::SimFabric>(
         sim_, std::make_unique<simnet::MeshLinkModel>(), 2);
     auto comm = shm::CommBuffer::Create(config);
     ASSERT_TRUE(comm.ok());
     comm_ = std::move(comm).value();
-    engine::EngineOptions options;
-    options.shard_id = 0;
-    engine_ = std::make_unique<engine::MessagingEngine>(*comm_, fabric_->wire(0),
-                                                        options, &model_);
+    engine_ = std::make_unique<engine::MessagingEngine>(
+        *comm_, fabric_->wire(0), engine::EngineOptions{}, &model_);
   }
 
-  std::uint32_t MakeEndpoint(shm::EndpointType type, std::uint32_t shard) {
+  std::uint32_t MakeEndpoint(shm::EndpointType type) {
     shm::CommBuffer::EndpointParams params;
     params.type = type;
     params.queue_capacity = 8;
-    params.shard = shard;
     auto index = comm_->AllocateEndpoint(params);
     EXPECT_TRUE(index.ok());
     return *index;
@@ -461,10 +417,9 @@ class DoorbellScenarioTest : public ::testing::Test {
 // consume the stale doorbell and do nothing with it — no transmit, no
 // validity rejection, no crash.
 TEST_F(DoorbellScenarioTest, StaleDoorbellForDestroyedEndpointSkipped) {
-  Init(/*shard_count=*/1);
-  const std::uint32_t tx = MakeEndpoint(shm::EndpointType::kSend, 0);
+  const std::uint32_t tx = MakeEndpoint(shm::EndpointType::kSend);
 
-  ASSERT_TRUE(comm_->doorbell_ring(0).Ring(tx));
+  ASSERT_TRUE(comm_->doorbell_ring().Ring(tx));
   ASSERT_TRUE(comm_->FreeEndpoint(tx).ok());  // destroyed before the drain
 
   StepToQuiescence();
@@ -473,7 +428,7 @@ TEST_F(DoorbellScenarioTest, StaleDoorbellForDestroyedEndpointSkipped) {
   EXPECT_GE(stats.doorbells_consumed, 1u);
   EXPECT_EQ(stats.messages_sent, 0u);
   EXPECT_EQ(stats.validity_rejections, 0u);
-  EXPECT_EQ(comm_->doorbell_ring(0).PendingCount(), 0u);
+  EXPECT_EQ(comm_->doorbell_ring().PendingCount(), 0u);
   EXPECT_EQ(shm::AuditTelemetryIdentities(*comm_), 0);
 }
 
@@ -482,13 +437,12 @@ TEST_F(DoorbellScenarioTest, StaleDoorbellForDestroyedEndpointSkipped) {
 // misattributed to the new tenant: no spurious transmit, and the
 // reincarnated slot's telemetry stays zeroed.
 TEST_F(DoorbellScenarioTest, StaleDoorbellForReusedSlotNotMisattributed) {
-  Init(/*shard_count=*/1);
-  const std::uint32_t tx = MakeEndpoint(shm::EndpointType::kSend, 0);
+  const std::uint32_t tx = MakeEndpoint(shm::EndpointType::kSend);
 
-  ASSERT_TRUE(comm_->doorbell_ring(0).Ring(tx));
+  ASSERT_TRUE(comm_->doorbell_ring().Ring(tx));
   ASSERT_TRUE(comm_->FreeEndpoint(tx).ok());
   // First-fit reallocation hands the same slot back, now as a receiver.
-  const std::uint32_t rx = MakeEndpoint(shm::EndpointType::kReceive, 0);
+  const std::uint32_t rx = MakeEndpoint(shm::EndpointType::kReceive);
   ASSERT_EQ(rx, tx);
 
   StepToQuiescence();
@@ -503,25 +457,28 @@ TEST_F(DoorbellScenarioTest, StaleDoorbellForReusedSlotNotMisattributed) {
   EXPECT_EQ(shm::AuditTelemetryIdentities(*comm_), 0);
 }
 
-// A doorbell naming another shard's endpoint lands in this shard's ring
-// (corrupt or misdirected hint). The planner must ignore it even though
-// the foreign endpoint HAS processable work — activating it would make
-// this planner write another shard's engine-owned cells.
-TEST_F(DoorbellScenarioTest, CrossShardDoorbellHintIgnored) {
-  Init(/*shard_count=*/2);  // shard 0 owns slots [0,4), shard 1 owns [4,8)
-  const std::uint32_t foreign = MakeEndpoint(shm::EndpointType::kSend, 1);
-  ASSERT_GE(foreign, 4u);
-  QueueSend(foreign, Address(1, 0));
+// The doorbell ring is application-written, so a corrupt application can
+// ring an index past the endpoint table. The engine must consume and count
+// that hint and do nothing else with it: activating it would make the
+// commit path read and write outside the table.
+TEST_F(DoorbellScenarioTest, CorruptDoorbellHintIgnored) {
+  ASSERT_TRUE(comm_->doorbell_ring().Ring(0x7ffffff0u));  // >= max_endpoints
+  ASSERT_TRUE(comm_->doorbell_ring().Ring(comm_->max_endpoints()));
 
-  ASSERT_TRUE(comm_->doorbell_ring(0).Ring(foreign));
-  StepToQuiescence();  // steps the shard-0 planner only
+  StepToQuiescence();
 
   const engine::EngineStats& stats = engine_->stats();
-  EXPECT_GE(stats.doorbells_consumed, 1u);
+  EXPECT_EQ(stats.doorbells_consumed, 2u);
+  EXPECT_EQ(stats.doorbell_dups, 0u);
   EXPECT_EQ(stats.messages_sent, 0u);
-  // The foreign endpoint's work is untouched, waiting for its own planner.
-  EXPECT_EQ(comm_->queue(foreign).ProcessableCount(), 1u);
-  EXPECT_EQ(comm_->endpoint(foreign).processed_total.Read(), 0u);
+  EXPECT_EQ(stats.validity_rejections, 0u);
+  EXPECT_EQ(comm_->doorbell_ring().PendingCount(), 0u);
+  // No endpoint record or telemetry block was written.
+  for (std::uint32_t i = 0; i < comm_->max_endpoints(); ++i) {
+    EXPECT_EQ(comm_->endpoint(i).processed_total.Read(), 0u) << "endpoint " << i;
+    EXPECT_EQ(comm_->telemetry(i).engine_transmits.Read(), 0u) << "endpoint " << i;
+    EXPECT_EQ(comm_->telemetry(i).engine_rejects.Read(), 0u) << "endpoint " << i;
+  }
 }
 
 // Satellite regression (the stale-throttle churn bug): a heavily throttled
@@ -531,7 +488,6 @@ TEST_F(DoorbellScenarioTest, CrossShardDoorbellHintIgnored) {
 // far-future refill; without the allocation-generation reset the new
 // endpoint's first send would stall behind the dead tenant's debt.
 TEST_F(DoorbellScenarioTest, SlotReuseDropsPreviousTenantsThrottleState) {
-  Init(/*shard_count=*/1);
   ManualClock clock;
   clock.AdvanceTo(1'000'000);
   engine_->SetClock(&clock);

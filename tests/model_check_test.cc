@@ -9,7 +9,7 @@
 // the queue and drop-counter invariants against a reference model in every
 // one of them. A violation prints the exact schedule that produced it.
 //
-// The operation mixes and expected schedule counts for the three rings are
+// The operation mixes and expected schedule counts for the two rings are
 // GENERATED from the protocol IR the static certifier exports
 // (tests/generated_model_schedules.h — see tools/flipc_static_audit
 // --emit-schedules): when the wait-free protocol changes, the drift ctest
@@ -26,7 +26,6 @@
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
-#include "src/waitfree/handoff_ring.h"
 #include "tests/generated_model_schedules.h"
 
 namespace flipc::waitfree {
@@ -328,106 +327,10 @@ TEST(ModelCheck, DoorbellOverflowAckInterleavings) {
   EXPECT_EQ(schedules, gen::kDoorbellOverflowSchedules);
 }
 
-// ---- Handoff ring: distributor shard pushes vs planner shard pops ----------
-
-// Cross-SHARD boundary: both sides are engine roles with different shard
-// ids. Each op rebinds the shard-qualified role inside its body
-// (ScopedBoundaryRole nests), so in a FLIPC_CHECK_SINGLE_WRITER build every
-// enumerated schedule also proves the shard ownership split: a push that
-// wrote the consumer's head cursor — or vice versa — in ANY interleaving
-// would abort.
-//
-// Unlike doorbells, handoff entries are not hints: a refusal must occur
-// exactly at capacity (the engine parks the packet rather than dropping),
-// and every accepted entry must come out once, in order. The push budget
-// exceeds capacity so schedules wrap the ring: positions past capacity
-// reuse slots under the next lap tag, and a stale-tag bug (lap not
-// advanced, or a zero tag matching) would surface as a phantom or lost pop.
-class HandoffModel {
- public:
-  static constexpr std::uint32_t kCapacity = gen::kModelCapacity;
-
-  void Reset() {
-    ring_ = std::make_unique<SpscHandoffRing<std::uint32_t>>(
-        kCapacity, /*producer_shard=*/0, /*consumer_shard=*/1);
-    pushed_.clear();
-    popped_ = 0;
-  }
-
-  // Producer op: distributor shard 0 pushes the next sequential value.
-  void ProducerPush(std::uint32_t value, const std::string& schedule) {
-    ScopedBoundaryRole producer(Writer::kEngine, /*shard=*/0);
-    std::uint32_t v = value;
-    if (ring_->Push(v)) {
-      pushed_.push_back(value);
-    } else {
-      ASSERT_EQ(ring_->PendingCount(), kCapacity)
-          << "push refused below capacity in schedule " << schedule;
-    }
-  }
-
-  // Consumer op: planner shard 1 pops one entry if published, verifying FIFO.
-  void ConsumerPop(const std::string& schedule) {
-    ScopedBoundaryRole consumer(Writer::kEngine, /*shard=*/1);
-    std::uint32_t value = 0;
-    if (ring_->Pop(&value)) {
-      ASSERT_LT(popped_, pushed_.size()) << "popped unpushed entry in " << schedule;
-      ASSERT_EQ(value, pushed_[popped_]) << "out-of-order pop in schedule " << schedule;
-      ++popped_;
-    }
-  }
-
-  void CheckInvariants(const std::string& schedule) {
-    // Conservation: everything pushed and not yet popped is pending —
-    // nothing lost to a wrap, nothing duplicated, nothing invented.
-    ASSERT_LE(popped_, pushed_.size()) << schedule;
-    ASSERT_EQ(ring_->PendingCount(), pushed_.size() - popped_) << schedule;
-    ASSERT_LE(ring_->PendingCount(), kCapacity) << schedule;
-    ASSERT_EQ(ring_->HasPending(), popped_ < pushed_.size()) << schedule;
-  }
-
- private:
-  std::unique_ptr<SpscHandoffRing<std::uint32_t>> ring_;
-  std::vector<std::uint32_t> pushed_;
-  std::size_t popped_ = 0;
-};
-
-TEST(ModelCheck, HandoffRingWrapInterleavings) {
-  HandoffModel model;
-  std::string current_schedule;
-
-  // Pushes across two laps — schedules with early pops carry the positions
-  // past capacity into the second lap (tag 2); schedules with late pops
-  // exercise the full-refusal path.
-  std::vector<std::function<void()>> producer_ops;
-  for (std::uint32_t i = 0; i < gen::kHandoffWrapPushOps; ++i) {
-    producer_ops.emplace_back([&model, i, &current_schedule] {
-      model.ProducerPush(i, current_schedule);
-    });
-  }
-  std::vector<std::function<void()>> consumer_ops;
-  for (unsigned i = 0; i < gen::kHandoffWrapPopOps; ++i) {
-    consumer_ops.emplace_back([&] { model.ConsumerPop(current_schedule); });
-  }
-
-  int schedules = 0;
-  ForAllInterleavings(
-      producer_ops, consumer_ops,
-      [&](const std::string& schedule) {
-        current_schedule = schedule;
-        model.CheckInvariants(schedule);
-        if (schedule.size() == producer_ops.size() + consumer_ops.size()) {
-          ++schedules;
-        }
-      },
-      [&] { model.Reset(); });
-  EXPECT_EQ(schedules, gen::kHandoffWrapSchedules);
-}
-
 // ---- Drop counter: engine drops vs application read-and-reset --------------
 //
 // Hand-written extra (not generated): the drop counter is a two-location
-// counter, not one of the three protocol rings the IR export covers.
+// counter, not one of the two protocol rings the IR export covers.
 
 TEST(ModelCheck, DropCounterNeverLosesEvents) {
   std::unique_ptr<DropCounter> counter;

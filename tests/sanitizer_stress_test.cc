@@ -26,8 +26,8 @@
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
-#include "src/waitfree/handoff_ring.h"
 #include "src/waitfree/msg_state.h"
+#include "tests/poll_backoff.h"
 
 namespace flipc::waitfree {
 namespace {
@@ -53,13 +53,15 @@ TEST(SanitizerStress, QueueAppVsEngineThreads) {
   // Engine thread: peek + advance every released buffer, checking FIFO.
   std::thread engine([&queue] {
     BoundaryRole::BindCurrentThread(Writer::kEngine);
+    test_util::PollBackoff backoff;
     std::uint32_t processed = 0;
     while (processed < kMessages) {
       const BufferIndex value = queue.view().PeekProcess();
       if (value == kInvalidBuffer) {
-        std::this_thread::yield();
+        backoff.Idle();
         continue;
       }
+      backoff.Reset();
       ASSERT_EQ(value, processed) << "engine saw out-of-order release";
       queue.view().AdvanceProcess();
       ++processed;
@@ -130,6 +132,7 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
   // itself was never published, the application below retries it.
   std::thread engine([&ring] {
     BoundaryRole::BindCurrentThread(Writer::kEngine);
+    test_util::PollBackoff backoff;
     std::uint32_t next = 0;
     while (next < kDoorbells) {
       if (ring.view().OverflowPending()) {
@@ -137,9 +140,10 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
       }
       const std::uint32_t value = ring.view().Pop();
       if (value == kInvalidDoorbell) {
-        std::this_thread::yield();
+        backoff.Idle();
         continue;
       }
+      backoff.Reset();
       ASSERT_EQ(value, next) << "engine popped doorbells out of order";
       ++next;
     }
@@ -149,59 +153,18 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
   // Application thread (this one): ring sequential values; a refusal (full
   // ring) is retried, which also exercises the overflow signal under load.
   BoundaryRole::BindCurrentThread(Writer::kApplication);
+  test_util::PollBackoff backoff;
   for (std::uint32_t i = 0; i < kDoorbells; ++i) {
     while (!ring.view().Ring(i)) {
-      std::this_thread::yield();
+      backoff.Idle();
     }
+    backoff.Reset();
   }
   BoundaryRole::UnbindCurrentThread();
   engine.join();
 
   EXPECT_EQ(ring.view().PendingCount(), 0u);
   EXPECT_FALSE(ring.view().HasPending());
-}
-
-TEST(SanitizerStress, HandoffRingShardVsShardThreads) {
-  // Cross-SHARD stress: unlike the tests above, both sides of this ring are
-  // engine threads — the distributor shard pushing, a planner shard popping.
-  // Entries are not hints: every pushed value is the only copy, so the
-  // invariant is total conservation in FIFO order, with Push refusing (not
-  // dropping) when full.
-  constexpr std::uint32_t kCapacity = 8;
-  constexpr std::uint64_t kMessages = kQueueMessages;
-  SpscHandoffRing<std::uint64_t> ring(kCapacity, /*producer_shard=*/0,
-                                      /*consumer_shard=*/1);
-
-  // Consumer: planner shard 1 drains its inbox, checking FIFO.
-  std::thread consumer([&ring] {
-    BoundaryRole::BindCurrentThread(Writer::kEngine, /*shard=*/1);
-    std::uint64_t next = 0;
-    std::uint64_t value = 0;
-    while (next < kMessages) {
-      if (!ring.Pop(&value)) {
-        std::this_thread::yield();
-        continue;
-      }
-      ASSERT_EQ(value, next) << "consumer shard popped out of order";
-      ++next;
-    }
-    BoundaryRole::UnbindCurrentThread();
-  });
-
-  // Producer (this thread): distributor shard 0 pushes sequential values,
-  // retrying on full exactly as the engine's park-and-retry path does.
-  BoundaryRole::BindCurrentThread(Writer::kEngine, /*shard=*/0);
-  for (std::uint64_t i = 0; i < kMessages; ++i) {
-    std::uint64_t value = i;
-    while (!ring.Push(value)) {
-      std::this_thread::yield();
-    }
-  }
-  BoundaryRole::UnbindCurrentThread();
-  consumer.join();
-
-  EXPECT_EQ(ring.PendingCount(), 0u);
-  EXPECT_FALSE(ring.HasPending());
 }
 
 // ---- Ownership checker death tests (checking builds only) ------------------
@@ -305,41 +268,6 @@ TEST(OwnershipCheckerDeath, HandoffWrongDirectionAborts) {
         state.Store(MsgState::kCompleted);
       },
       "may only be stored by the engine");
-}
-
-TEST(OwnershipCheckerDeath, WrongShardPushingHandoffRingAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Shard-qualified ownership: Push writes the producer shard's slot tags
-  // and tail cursor. A planner bound to the CONSUMER shard calling Push is
-  // an engine-side thread with the right role but the wrong shard — only
-  // the shard qualifier catches it.
-  EXPECT_DEATH(
-      {
-        SpscHandoffRing<std::uint64_t> ring(4, /*producer_shard=*/0,
-                                            /*consumer_shard=*/1);
-        ScopedBoundaryRole consumer(Writer::kEngine, /*shard=*/1);
-        std::uint64_t value = 42;
-        ring.Push(value);
-      },
-      "owned by engine shard 0 but was written by a thread bound to shard 1");
-}
-
-TEST(OwnershipCheckerDeath, WrongShardPoppingHandoffRingAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SpscHandoffRing<std::uint64_t> ring(4, /*producer_shard=*/0,
-                                            /*consumer_shard=*/1);
-        {
-          ScopedBoundaryRole producer(Writer::kEngine, /*shard=*/0);
-          std::uint64_t value = 7;
-          ring.Push(value);
-          // Cross-shard write: handoff_head is the consumer shard's cursor.
-          ring.Pop(&value);
-        }
-      },
-      "HandoffCursors.handoff_head.*owned by engine shard 1 but was written "
-      "by a thread bound to shard 0");
 }
 
 TEST(OwnershipChecker, UnboundThreadsAndExemptionsAreUnchecked) {

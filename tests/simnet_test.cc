@@ -183,8 +183,10 @@ TEST(SimFabric, UnknownDestinationRejected) {
 TEST(SimFabric, FaultInjectionDropsSome) {
   Simulator sim;
   SimFabric::Options options;
-  options.drop_probability = 0.5;
-  options.fault_seed = 42;
+  options.fault_plan.seed = 42;
+  FaultPlan::LinkFault lossy;  // any -> any
+  lossy.drop_probability = 0.5;
+  options.fault_plan.links.push_back(lossy);
   SimFabric fabric(sim, std::make_unique<MeshLinkModel>(), 2, options);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(fabric.wire(0).Send(MakePacket(1, 16)).ok());
@@ -198,6 +200,8 @@ TEST(SimFabric, FaultInjectionDropsSome) {
   EXPECT_EQ(delivered + fabric.packets_dropped_by_fabric(), 200u);
   EXPECT_GT(fabric.packets_dropped_by_fabric(), 50u);
   EXPECT_LT(fabric.packets_dropped_by_fabric(), 150u);
+  // Every drop is a logged plan decision.
+  EXPECT_EQ(fabric.fault_events().size(), fabric.packets_dropped_by_fabric());
 }
 
 TEST(SimFabric, CountsTraffic) {

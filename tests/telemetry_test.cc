@@ -177,12 +177,11 @@ TEST(Telemetry, EngineHistogramsRecordCommittedWork) {
 }
 
 // The telemetry table is part of the shared-memory ABI: introduced in
-// version 3 (version 4 added shard geometry without moving it, version 5
-// added the QoS planner cells and counters, version 6 dropped two endpoint
-// config cells), one cache-line-aligned block per endpoint slot, visible
-// through Attach.
+// version 3 (version 5 added the QoS planner cells and counters; versions
+// 4, 6 and 7 changed other parts of the layout without moving it), one
+// cache-line-aligned block per endpoint slot, visible through Attach.
 TEST(Telemetry, CommBufferTelemetryAbi) {
-  static_assert(shm::kCommBufferVersion == 6);
+  static_assert(shm::kCommBufferVersion == 7);
   static_assert(sizeof(shm::TelemetryBlock) == 2 * kCacheLineSize);
   static_assert(alignof(shm::TelemetryBlock) == kCacheLineSize);
 

@@ -14,6 +14,7 @@
 #include "src/waitfree/drop_counter.h"
 #include "src/waitfree/msg_state.h"
 #include "src/waitfree/single_writer.h"
+#include "tests/poll_backoff.h"
 
 namespace flipc::waitfree {
 namespace {
@@ -268,15 +269,15 @@ TEST_P(BufferQueueStressTest, TwoThreadRoundTrip) {
   std::atomic<bool> engine_stop{false};
 
   std::thread engine([&] {
+    flipc::test_util::PollBackoff backoff;
     std::uint32_t processed = 0;
     while (processed < kItems) {
       if (view.PeekProcess() != kInvalidBuffer) {
         view.AdvanceProcess();
         ++processed;
+        backoff.Reset();
       } else {
-        // On a single-CPU host, spinning through a whole quantum starves
-        // the other side; yield when idle.
-        std::this_thread::yield();
+        backoff.Idle();
       }
       if (engine_stop.load(std::memory_order_relaxed)) {
         break;
@@ -284,6 +285,7 @@ TEST_P(BufferQueueStressTest, TwoThreadRoundTrip) {
     }
   });
 
+  flipc::test_util::PollBackoff backoff;
   std::uint32_t released = 0;
   std::uint32_t acquired = 0;
   while (acquired < kItems) {
@@ -298,8 +300,10 @@ TEST_P(BufferQueueStressTest, TwoThreadRoundTrip) {
       ++acquired;
       progress = true;
     }
-    if (!progress) {
-      std::this_thread::yield();
+    if (progress) {
+      backoff.Reset();
+    } else {
+      backoff.Idle();
     }
   }
   engine_stop.store(true, std::memory_order_relaxed);

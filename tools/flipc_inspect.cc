@@ -30,7 +30,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/base/table.h"
 #include "src/base/trace.h"
@@ -77,8 +76,6 @@ void Dump(shm::CommBuffer& comm) {
               comm.FreeBufferCount());
   std::printf("  endpoints        %u active of %u\n", header.endpoints_active,
               header.max_endpoints);
-  std::printf("  shards           %u x %u endpoints\n", header.shard_count,
-              header.endpoints_per_shard);
   std::printf("  cell arena       %u used of %u\n\n", header.cells_used,
               header.cell_arena_size);
 
@@ -168,102 +165,58 @@ int MetricsDump(shm::CommBuffer& comm, bool quiescent) {
   return mismatches;
 }
 
-// Per-shard subtotals of the same counters plus an aggregate row. The
-// identities are linear, so each one that holds per endpoint also holds
-// summed over any endpoint set — checked here per shard AND for the whole
-// buffer (the API-side identities compare low 32 bits, because the record
-// cursors are 32-bit and congruence survives summation).
-int ShardMetricsDump(shm::CommBuffer& comm) {
-  struct ShardSums {
-    std::uint64_t active = 0;
-    std::uint64_t api_sends = 0, api_reclaims = 0, release_send = 0, acquire_send = 0;
-    std::uint64_t api_posts = 0, api_receives = 0, release_recv = 0, acquire_recv = 0;
-    std::uint64_t engine_tx = 0, engine_dlv = 0, engine_rej = 0;
-    std::uint64_t processed_send = 0, processed_recv = 0, drops = 0;
-
-    void Accumulate(const ShardSums& other) {
-      active += other.active;
-      api_sends += other.api_sends;
-      api_reclaims += other.api_reclaims;
-      release_send += other.release_send;
-      acquire_send += other.acquire_send;
-      api_posts += other.api_posts;
-      api_receives += other.api_receives;
-      release_recv += other.release_recv;
-      acquire_recv += other.acquire_recv;
-      engine_tx += other.engine_tx;
-      engine_dlv += other.engine_dlv;
-      engine_rej += other.engine_rej;
-      processed_send += other.processed_send;
-      processed_recv += other.processed_recv;
-      drops += other.drops;
-    }
-
-    bool Consistent() const {
-      const auto low32 = [](std::uint64_t x) { return static_cast<std::uint32_t>(x); };
-      return low32(api_sends) == low32(release_send) &&
-             low32(api_reclaims) == low32(acquire_send) &&
-             low32(api_posts) == low32(release_recv) &&
-             low32(api_receives) == low32(acquire_recv) &&
-             engine_tx + engine_rej == processed_send &&
-             engine_dlv == processed_recv;
-    }
-  };
-
-  const std::uint32_t shards = comm.shard_count();
-  std::vector<ShardSums> sums(shards);
+// Buffer-wide totals of the same counters. The identities are linear, so
+// each one that holds per endpoint also holds summed over all of them (the
+// API-side identities compare low 32 bits, because the record cursors are
+// 32-bit and congruence survives summation).
+int AggregateMetricsDump(shm::CommBuffer& comm) {
+  std::uint64_t active = 0;
+  std::uint64_t api_sends = 0, api_reclaims = 0, release_send = 0, acquire_send = 0;
+  std::uint64_t api_posts = 0, api_receives = 0, release_recv = 0, acquire_recv = 0;
+  std::uint64_t engine_tx = 0, engine_dlv = 0, engine_rej = 0;
+  std::uint64_t processed_send = 0, processed_recv = 0, drops = 0;
   for (std::uint32_t i = 0; i < comm.max_endpoints(); ++i) {
     const shm::EndpointRecord& record = comm.endpoint(i);
     if (!record.IsActive()) {
       continue;
     }
-    ShardSums& s = sums[comm.shard_of(i)];
     const shm::TelemetryBlock& t = comm.telemetry(i);
-    ++s.active;
-    s.drops += record.DropCount();
+    ++active;
+    drops += record.DropCount();
     if (record.Type() == shm::EndpointType::kSend) {
-      s.api_sends += t.api_sends.Read();
-      s.api_reclaims += t.api_reclaims.Read();
-      s.release_send += record.release_count.Read();
-      s.acquire_send += record.acquire_count.Read();
-      s.engine_tx += t.engine_transmits.Read();
-      s.engine_rej += t.engine_rejects.Read();
-      s.processed_send += record.processed_total.Read();
+      api_sends += t.api_sends.Read();
+      api_reclaims += t.api_reclaims.Read();
+      release_send += record.release_count.Read();
+      acquire_send += record.acquire_count.Read();
+      engine_tx += t.engine_transmits.Read();
+      engine_rej += t.engine_rejects.Read();
+      processed_send += record.processed_total.Read();
     } else {
-      s.api_posts += t.api_posts.Read();
-      s.api_receives += t.api_receives.Read();
-      s.release_recv += record.release_count.Read();
-      s.acquire_recv += record.acquire_count.Read();
-      s.engine_dlv += t.engine_deliveries.Read();
-      s.processed_recv += record.processed_total.Read();
+      api_posts += t.api_posts.Read();
+      api_receives += t.api_receives.Read();
+      release_recv += record.release_count.Read();
+      acquire_recv += record.acquire_count.Read();
+      engine_dlv += t.engine_deliveries.Read();
+      processed_recv += record.processed_total.Read();
     }
   }
 
-  int mismatches = 0;
-  ShardSums total;
-  TextTable table({"shard", "eps", "active", "sends", "recvs", "posts", "reclaims",
-                   "eng.tx", "eng.dlv", "eng.rej", "drops", "check"});
-  const auto add_row = [&](const std::string& name, std::uint64_t slots,
-                           const ShardSums& s) {
-    const bool ok = s.Consistent();
-    if (!ok) {
-      ++mismatches;
-    }
-    table.AddRow({name, std::to_string(slots), std::to_string(s.active),
-                  std::to_string(s.api_sends), std::to_string(s.api_receives),
-                  std::to_string(s.api_posts), std::to_string(s.api_reclaims),
-                  std::to_string(s.engine_tx), std::to_string(s.engine_dlv),
-                  std::to_string(s.engine_rej), std::to_string(s.drops),
-                  ok ? "[OK]" : "[MISMATCH]"});
-  };
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    total.Accumulate(sums[shard]);
-    add_row(std::to_string(shard),
-            comm.shard_end_endpoint(shard) - comm.shard_first_endpoint(shard), sums[shard]);
-  }
-  add_row("all", comm.max_endpoints(), total);
-  std::printf("\nper-shard telemetry subtotals:\n%s", table.ToString().c_str());
-  return mismatches;
+  const auto low32 = [](std::uint64_t x) { return static_cast<std::uint32_t>(x); };
+  const bool ok = low32(api_sends) == low32(release_send) &&
+                  low32(api_reclaims) == low32(acquire_send) &&
+                  low32(api_posts) == low32(release_recv) &&
+                  low32(api_receives) == low32(acquire_recv) &&
+                  engine_tx + engine_rej == processed_send && engine_dlv == processed_recv;
+  TextTable table({"eps", "active", "sends", "recvs", "posts", "reclaims", "eng.tx",
+                   "eng.dlv", "eng.rej", "drops", "check"});
+  table.AddRow({std::to_string(comm.max_endpoints()), std::to_string(active),
+                std::to_string(api_sends), std::to_string(api_receives),
+                std::to_string(api_posts), std::to_string(api_reclaims),
+                std::to_string(engine_tx), std::to_string(engine_dlv),
+                std::to_string(engine_rej), std::to_string(drops),
+                ok ? "[OK]" : "[MISMATCH]"});
+  std::printf("\nbuffer-wide telemetry totals:\n%s", table.ToString().c_str());
+  return ok ? 0 : 1;
 }
 
 // Demonstrates the flight recorder: the enable flag (disabled records cost
@@ -304,7 +257,7 @@ int InspectOnce(shm::CommBuffer& comm, const InspectOptions& options, bool quies
   int failures = 0;
   if (options.metrics) {
     failures += MetricsDump(comm, quiescent);
-    failures += ShardMetricsDump(comm);
+    failures += AggregateMetricsDump(comm);
   }
   return failures;
 }

@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
   EmitTable(e, flipc::shm::kQueueCursorsOwnership);
   EmitTable(e, flipc::shm::kDoorbellCursorsOwnership);
   EmitTable(e, flipc::shm::kPaddedDropCounterOwnership);
-  EmitTable(e, flipc::shm::kHandoffCursorsOwnership);
   EmitTable(e, flipc::shm::kCommBufferHeaderOwnership);
   // Arena cell arrays: no fixed offset, so they live in their own table;
   // checked cells (DeclareOwner'd per region by CommBuffer), never
@@ -167,8 +166,8 @@ int main(int argc, char** argv) {
   e.ListEnd();
   e.out += ",\n";
 
-  e.ListStart("handoff_members");
-  for (const char* m : flipc::shm::kHandoffMembers) {
+  e.ListStart("alternating_members");
+  for (const char* m : flipc::shm::kAlternatingWriterMembers) {
     e.Row(std::string("\"") + m + "\"");
   }
   e.ListEnd();
@@ -198,8 +197,6 @@ int main(int argc, char** argv) {
          std::size(flipc::shm::kDoorbellCursorsOwnership));
     scan(flipc::shm::kPaddedDropCounterOwnership,
          std::size(flipc::shm::kPaddedDropCounterOwnership));
-    scan(flipc::shm::kHandoffCursorsOwnership,
-         std::size(flipc::shm::kHandoffCursorsOwnership));
     scan(flipc::shm::kCommBufferHeaderOwnership,
          std::size(flipc::shm::kCommBufferHeaderOwnership));
     if (!found) {

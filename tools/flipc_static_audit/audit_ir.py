@@ -38,23 +38,11 @@ ASSIGN_OP = "assign"  # plain (non-atomic) member store
 ROLE_APP = "app"
 ROLE_ENGINE = "engine"
 ROLE_QUIESCENT = "quiescent"
-# Raw role names as declared in the source; "engine_shard" is the
-# shard-qualified engine role. The rules engine works on EFFECTIVE roles
-# (shard-qualified engine IS the engine role — the auditor proves the writer
-# side, the shard dimension is enforced at run time), but the raw name is
-# kept on the Function so the protocol-IR export can carry the shard
-# qualifier.
-ROLE_MACROS_RAW = {
-    "FLIPC_ROLE_APP": "app",
-    "FLIPC_ROLE_ENGINE": "engine",
-    "FLIPC_ROLE_ENGINE_SHARD": "engine_shard",
-    "FLIPC_ROLE_QUIESCENT": "quiescent",
-}
-RAW_ROLE_TO_EFFECTIVE = {
-    "app": ROLE_APP,
-    "engine": ROLE_ENGINE,
-    "engine_shard": ROLE_ENGINE,
-    "quiescent": ROLE_QUIESCENT,
+# Role annotation macros as declared in the source.
+ROLE_MACROS = {
+    "FLIPC_ROLE_APP": ROLE_APP,
+    "FLIPC_ROLE_ENGINE": ROLE_ENGINE,
+    "FLIPC_ROLE_QUIESCENT": ROLE_QUIESCENT,
 }
 
 
@@ -137,8 +125,7 @@ class Function:
     klass: str  # enclosing class name ("Endpoint"), "" for free functions
     file: str
     line: int
-    roles: set[str] = field(default_factory=set)  # declared effective roles
-    role_macros: set[str] = field(default_factory=set)  # raw names incl. engine_shard
+    roles: set[str] = field(default_factory=set)  # declared roles
     calls: list[str] = field(default_factory=list)  # simple callee names
     accesses: list[Access] = field(default_factory=list)
     hot_lines: list[int] = field(default_factory=list)  # FLIPC_HOT_PATH markers

@@ -34,9 +34,9 @@ second, so nothing is cached.
 
 The auditor can also EXPORT the protocol it proved: ``--emit-ir`` writes
 the per-function protocol IR (field, access kind, memory order, role,
-shard qualifier, program order) for ``src/waitfree`` as JSON, and
+program order) for ``src/waitfree`` as JSON, and
 ``--emit-schedules`` generates the armed model-check schedule seeds for
-the three rings from that IR (consumed by tests/model_check_test.cc; both
+the two rings from that IR (consumed by tests/model_check_test.cc; both
 artifacts are checked in and drift-tested like ownership_policy.json).
 
 Usage:
@@ -162,7 +162,7 @@ class Policy:
                 self.member_aliases[key] = row["field"]
             else:
                 self.struct_aliases[key] = row["field"]
-        self.handoff_members: set[str] = set(doc.get("handoff_members", []))
+        self.alternating_members: set[str] = set(doc.get("alternating_members", []))
         seq = doc.get("seq_cst", {})
         self.seq_cst_file: str = seq.get("file", "")
         self.seq_cst_expected: int = int(seq.get("expected_count", 0))
@@ -321,7 +321,7 @@ def _check_access(findings, fn, acc, policy: Policy, roles: set[str]) -> None:
 
     if acc.is_cell_op:
         if fld is None:
-            if acc.is_write and acc.member not in policy.handoff_members:
+            if acc.is_write and acc.member not in policy.alternating_members:
                 findings.append(
                     Finding(
                         "role",
@@ -633,7 +633,7 @@ def build_protocol_ir(
     """Machine-readable protocol IR: for every function in the wait-free
     protocol files, the ordered list of shared-field accesses with their
     resolved policy field, access kind, effective memory order, the
-    function's roles and shard qualifier. Line numbers are deliberately
+    function's roles. Line numbers are deliberately
     omitted — the export must drift when the PROTOCOL changes (fields, op
     order, memory orders, roles), not when comments shift lines."""
     functions = []
@@ -671,7 +671,6 @@ def build_protocol_ir(
                 "class": fn.klass,
                 "file": fn.file,
                 "roles": roles,
-                "shard_qualified": "engine_shard" in fn.role_macros,
                 "hot": fn.is_hot_root,
                 "accesses": accesses,
             }

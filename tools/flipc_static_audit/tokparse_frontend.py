@@ -35,9 +35,8 @@ from .audit_ir import (
     CELL_WRITE_OPS,
     LOCKS_ONLY_RAW_OPS,
     RAW_READ_OPS,
-    RAW_ROLE_TO_EFFECTIVE,
     RAW_WRITE_OPS,
-    ROLE_MACROS_RAW,
+    ROLE_MACROS,
     Access,
     CallSite,
     Function,
@@ -147,8 +146,8 @@ class _FileParser:
                 i += 1
                 if self._text(i) == "<":
                     i = self._skip_template_args(i)
-            elif t.kind == IDENT and text in ROLE_MACROS_RAW:
-                pending_roles.add(ROLE_MACROS_RAW[text])
+            elif t.kind == IDENT and text in ROLE_MACROS:
+                pending_roles.add(ROLE_MACROS[text])
                 i += 1
             elif text in ("public", "private", "protected") and self._text(i + 1) == ":":
                 i += 2
@@ -231,16 +230,16 @@ class _FileParser:
     ) -> int:
         """Parses one declaration starting at i; registers a Function when it
         turns out to be a definition, or declaration roles when it is a
-        role-annotated prototype. ``roles`` holds RAW role names (see
-        ROLE_MACROS_RAW). Returns the index to continue from."""
+        role-annotated prototype. ``roles`` holds role names (see
+        ROLE_MACROS). Returns the index to continue from."""
         j = i
         name_chain: list[str] | None = None
         params_close = -1
         saw_eq = False
         while j < hi:
             t = self._text(j)
-            if self._kind(j) == IDENT and t in ROLE_MACROS_RAW:
-                roles = roles | {ROLE_MACROS_RAW[t]}
+            if self._kind(j) == IDENT and t in ROLE_MACROS:
+                roles = roles | {ROLE_MACROS[t]}
                 j += 1
                 continue
             if t == "(":
@@ -269,11 +268,7 @@ class _FileParser:
                         if len(name_chain) > 1
                         else (scope[-1] if scope else "")
                     )
-                    self.ir.add_decl_roles(
-                        klass,
-                        name_chain[-1],
-                        {RAW_ROLE_TO_EFFECTIVE[r] for r in roles},
-                    )
+                    self.ir.add_decl_roles(klass, name_chain[-1], set(roles))
                 return j + 1
             if t == ":" and params_close != -1 and not saw_eq:
                 body = self._consume_init_list(j)
@@ -367,8 +362,7 @@ class _FileParser:
             klass=klass,
             file=self.rel,
             line=self.toks[body_open].line,
-            roles={RAW_ROLE_TO_EFFECTIVE[r] for r in roles},
-            role_macros=set(roles),
+            roles=set(roles),
         )
         self._scan_body(fn, body_open + 1, match_group(self.toks, body_open))
         self.ir.functions.append(fn)

@@ -11,7 +11,6 @@
 
 #define FLIPC_ROLE_APP
 #define FLIPC_ROLE_ENGINE
-#define FLIPC_ROLE_ENGINE_SHARD
 #define FLIPC_ROLE_QUIESCENT
 
 #define FLIPC_HOT_PATH(label) ((void)0)
@@ -58,15 +57,6 @@ struct Cfg {
 struct Hdr {
   unsigned long magic;      // plain, quiescent-only
   unsigned long free_head;  // plain, app-owned
-};
-
-// Cross-shard handoff cursors (shard_role_*.cc). Both are engine-side
-// cells; the static auditor proves the engine-vs-app split, while the
-// producer-vs-consumer SHARD split is a runtime property enforced by the
-// boundary checker's shard-qualified declarations.
-struct HandoffCursors {
-  flipc::SingleWriterCell<unsigned long> handoff_tail;  // producer shard's cursor
-  flipc::SingleWriterCell<unsigned long> handoff_head;  // consumer shard's cursor
 };
 
 #endif  // TOOLS_LINT_FIXTURES_STATIC_AUDIT_AUDIT_STUBS_H_
