@@ -2,8 +2,11 @@
 //
 // Not a paper artifact: these guard the constant-time claims the platform
 // model's per-operation costs assume — queue release/acquire, engine
-// peek/advance, drop-counter operations, and lock acquisition, all on the
-// host CPU.
+// peek/advance, drop-counter operations, the real-thread wire ring, and
+// lock acquisition, all on the host CPU.
+#include <cstring>
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -14,6 +17,7 @@
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
+#include "src/waitfree/spsc_ring.h"
 
 namespace flipc {
 namespace {
@@ -67,6 +71,24 @@ void BM_DropCounterReadAndReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DropCounterReadAndReset);
+
+// One frame through the wire ring: reserve, write, commit, read, pop.
+void BM_SpscFrameRingCycle(benchmark::State& state) {
+  waitfree::InlineSpscFrameRing<64, 128> ring;
+  waitfree::SpscFrameRingView& view = ring.view();
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    std::byte* frame = view.TryReserve();
+    std::memcpy(frame, &seq, sizeof(seq));
+    view.Commit();
+    std::uint64_t got = 0;
+    std::memcpy(&got, view.Front(), sizeof(got));
+    view.Pop();
+    benchmark::DoNotOptimize(got);
+    ++seq;
+  }
+}
+BENCHMARK(BM_SpscFrameRingCycle);
 
 void BM_TasLockUncontended(benchmark::State& state) {
   TasLock lock;
@@ -200,6 +222,47 @@ BENCHMARK(BM_ApiRoundTrip);
 // both must be zero per operation; CI's perf-smoke job fails on a nonzero
 // rate (the [MISMATCH] marker below). Without the guard build the audit
 // reports "guards not armed" and the metrics are omitted.
+// Guard counts for `messages` engine-to-engine messages over a
+// ThreadFabric: each releases a send, steps the sending engine (plan, build
+// the inline packet, copy it into the (0,1) ring) and the receiving engine
+// (poll the ring, deliver) inside one armed scope, then recycles both
+// buffers. Counted, not aborted: the caller has set GuardMode::kCount.
+hotpath::GuardCounters WireRoundTripGuardCounters(std::uint64_t messages) {
+  simnet::ThreadFabric fabric(2);
+  std::unique_ptr<Domain> domains[2];
+  for (NodeId n = 0; n < 2; ++n) {
+    Domain::Options options;
+    options.comm.message_size = 64;
+    options.comm.buffer_count = 16;
+    options.comm.max_endpoints = 4;
+    options.node = n;
+    domains[n] = std::move(Domain::Create(options).value());
+  }
+  engine::MessagingEngine sender(domains[0]->comm(), fabric.wire(0), engine::EngineOptions());
+  engine::MessagingEngine receiver(domains[1]->comm(), fabric.wire(1), engine::EngineOptions());
+  sender.SetClock(&RealClock::Instance());
+  receiver.SetClock(&RealClock::Instance());
+  auto tx = domains[0]->CreateEndpoint({.type = shm::EndpointType::kSend}).value();
+  auto rx = domains[1]->CreateEndpoint({.type = shm::EndpointType::kReceive}).value();
+  MessageBuffer posted = domains[1]->AllocateBuffer().value();
+  (void)rx.PostBufferUnlocked(posted);
+  MessageBuffer msg = domains[0]->AllocateBuffer().value();
+
+  hotpath::ResetGuardCounters();
+  for (std::uint64_t i = 0; i < messages; ++i) {
+    (void)tx.SendUnlocked(msg, rx.address());
+    {
+      FLIPC_HOT_PATH("bench: ThreadFabric engine round trip");
+      benchmark::DoNotOptimize(sender.Step());
+      benchmark::DoNotOptimize(receiver.Step());
+    }
+    MessageBuffer got = rx.ReceiveUnlocked().value();
+    (void)rx.PostBufferUnlocked(got);
+    msg = tx.ReclaimUnlocked().value();
+  }
+  return hotpath::ReadGuardCounters();
+}
+
 void ReportHotPathPurity(bench::JsonReport& json) {
   json.AddConfig("hot_path_guards_armed",
                  std::string(hotpath::kHotPathCheckEnabled ? "yes" : "no"));
@@ -228,6 +291,7 @@ void ReportHotPathPurity(bench::JsonReport& json) {
     }
   }
   const hotpath::GuardCounters counters = hotpath::ReadGuardCounters();
+  const hotpath::GuardCounters wire = WireRoundTripGuardCounters(kOps);
   hotpath::SetGuardMode(hotpath::GuardMode::kAbort);
 
   const double allocs_per_op = static_cast<double>(counters.allocations) / kOps;
@@ -235,6 +299,11 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   const double blocking_per_op = static_cast<double>(counters.blocking_calls) / kOps;
   const bool clean = counters.allocations == 0 && counters.locks == 0 &&
                      counters.blocking_calls == 0 && counters.loop_overruns == 0;
+  const double wire_allocs_per_msg = static_cast<double>(wire.allocations) / kOps;
+  const double wire_locks_per_msg = static_cast<double>(wire.locks) / kOps;
+  const bool wire_clean = wire.scope_entries != 0 && wire.allocations == 0 &&
+                          wire.locks == 0 && wire.blocking_calls == 0 &&
+                          wire.loop_overruns == 0;
 
   std::printf("\nhot-path purity audit (%llu wait-free op groups, %llu armed scopes)\n",
               static_cast<unsigned long long>(kOps),
@@ -247,12 +316,26 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   std::printf("  verdict: %s\n",
               clean ? "OK — wait-free path is allocation- and lock-free"
                     : "[MISMATCH] hot-path scopes observed allocations/locks");
+  std::printf("\nThreadFabric engine-to-engine round trip (%llu messages, %llu armed scopes)\n",
+              static_cast<unsigned long long>(kOps),
+              static_cast<unsigned long long>(wire.scope_entries));
+  std::printf("  %-28s %12.6f per msg\n", "allocations", wire_allocs_per_msg);
+  std::printf("  %-28s %12.6f per msg\n", "lock acquisitions", wire_locks_per_msg);
+  std::printf("  %-28s %12.6f per msg\n", "blocking calls",
+              static_cast<double>(wire.blocking_calls) / kOps);
+  std::printf("  %-28s %12llu total\n", "loop budget overruns",
+              static_cast<unsigned long long>(wire.loop_overruns));
+  std::printf("  verdict: %s\n",
+              wire_clean ? "OK — the real-thread wire path is allocation- and lock-free"
+                         : "[MISMATCH] the wire round trip observed allocations/locks");
 
   json.AddMetric("hot_path_allocs_per_op", allocs_per_op, "count");
   json.AddMetric("hot_path_locks_per_op", locks_per_op, "count");
   json.AddMetric("hot_path_blocking_per_op", blocking_per_op, "count");
   json.AddMetric("hot_path_scope_entries", static_cast<double>(counters.scope_entries),
                  "count");
+  json.AddMetric("wire_allocs_per_msg", wire_allocs_per_msg, "count");
+  json.AddMetric("wire_locks_per_msg", wire_locks_per_msg, "count");
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 //    i.e. the memory model the paper says the programmable controllers are
 //    limited to. FLIPC's production structures avoid even this (single-writer
 //    separation), but the lock is provided and tested to document the model.
+//
+// Also here: ParkWakeFlag, the Dekker-style handshake that lets an idle
+// engine runner sleep without a waker ever taking a lock to find out that
+// the runner is awake.
 #ifndef SRC_BASE_LOCKS_H_
 #define SRC_BASE_LOCKS_H_
 
@@ -74,8 +78,8 @@ class FLIPC_CAPABILITY("TasLock") TasLock {
 // requires for the store/load ordering between `interested` and `turn`).
 //
 // seq_cst whitelist (tools/flipc_hotpath_lint): the four sequentially
-// consistent accesses below are the ONLY ones the lint permits outside
-// src/waitfree/. Peterson's algorithm is correct exactly because the
+// consistent accesses below, with ParkWakeFlag's two fences, are the ONLY
+// ones the lint permits anywhere. Peterson's algorithm is correct exactly because the
 // `interested` store is globally ordered before the `turn` store, and both
 // before the two loads — acquire/release cannot provide that store->load
 // ordering (it allows the classic both-sides-enter reordering), so these
@@ -105,6 +109,48 @@ class FLIPC_CAPABILITY("PetersonLock") PetersonLock {
  private:
   std::atomic<bool> interested_[2] = {false, false};
   std::atomic<int> turn_{0};
+};
+
+// The park/wake handshake between one parking thread (an engine runner
+// about to sleep) and any number of wakers (application sends, fabric
+// deliveries). A Dekker pair: each side stores its own word, fences, and
+// reads the other side's.
+//
+//   waker:  publish work (release stores);   WakeNeeded(): fence, load parked
+//   parker: AnnouncePark(): store parked, fence;   re-check for work
+//
+// If the parker's re-check misses the work, the two fences order the
+// parker's store before the waker's load, so the waker sees `parked` and
+// must deliver a wake (under whatever lock the sleep itself uses). No
+// interleaving lets both miss — tests/model_check_test.cc enumerates them.
+// A waker that finds the runner running pays one fence and one load.
+//
+// seq_cst whitelist (tools/flipc_hotpath_lint): the two fences below are
+// the whitelist's other two lines. A store->load ordering across two
+// threads is exactly what acquire/release cannot give, so they cannot be
+// weakened; and they must stay explicit fences, never hidden inside
+// default-ordered atomics.
+class ParkWakeFlag {
+ public:
+  // Parker: announce the park. The caller must then re-check for work
+  // (and for a stop request) before it sleeps.
+  void AnnouncePark() {
+    parked_.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+
+  // Parker: back to running (after waking, or when the re-check found work).
+  void ClearPark() { parked_.store(false, std::memory_order_relaxed); }
+
+  // Waker, after publishing work: whether the parker may be asleep (or
+  // about to sleep) and must be woken.
+  bool WakeNeeded() const {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return parked_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<bool> parked_{false};
 };
 
 // RAII guard for PetersonLock.

@@ -10,9 +10,43 @@
 #include <thread>
 
 #include "src/base/hotpath.h"
+#include "src/base/locks.h"
 #include "src/engine/messaging_engine.h"
 
 namespace flipc::engine {
+
+// The waking half of an engine's idle park, owned by whoever outlives the
+// runners that park on it (a Cluster node keeps one across
+// KillEngine/RestartEngine). Application sends and fabric deliveries call
+// Wake() after publishing work; a runner that is running costs them one
+// fence and one load (ParkWakeFlag), and only a runner that announced a
+// park costs a lock and a notify.
+class EngineWaker {
+ public:
+  EngineWaker() = default;
+  EngineWaker(const EngineWaker&) = delete;
+  EngineWaker& operator=(const EngineWaker&) = delete;
+
+  // Call after the work it announces is published.
+  void Wake() {
+    if (!flag_.WakeNeeded()) {
+      return;
+    }
+    {
+      ScopedLock<std::mutex> lock(mutex_);
+      ++wake_seq_;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  friend class EngineRunner;
+
+  ParkWakeFlag flag_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t wake_seq_ FLIPC_GUARDED_BY(mutex_) = 0;  // a park waits for it to move
+};
 
 class EngineRunner {
  public:
@@ -26,10 +60,9 @@ class EngineRunner {
     DurationNs max_idle_park_ns = 200'000;
   };
 
-  // Takes a non-owning reference; the engine (and everything it references)
-  // must outlive the runner.
-  explicit EngineRunner(MessagingEngine& engine) : EngineRunner(engine, Options()) {}
-  EngineRunner(MessagingEngine& engine, Options options);
+  // Takes non-owning references; the engine (and everything it
+  // references) and the waker must outlive the runner.
+  EngineRunner(MessagingEngine& engine, EngineWaker& waker, Options options);
   ~EngineRunner();
   EngineRunner(const EngineRunner&) = delete;
   EngineRunner& operator=(const EngineRunner&) = delete;
@@ -37,20 +70,22 @@ class EngineRunner {
   void Start();
   void Stop();
 
-  // Wakes the loop if it is sleeping in its idle backoff. The application
-  // library calls this after releasing buffers; the fabric's delivery
-  // callback should also be pointed here.
-  void Kick();
+  // Wakes the loop if it is parked (EngineWaker::Wake on this runner's
+  // waker). The application library calls this after releasing buffers;
+  // the fabric's delivery callback should also be pointed here.
+  void Kick() { waker_.Wake(); }
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // Times the loop exhausted its spin budget and parked on the idle
-  // condvar. With the doorbell scheduler this should grow only while the
-  // node is genuinely quiet; parks during steady traffic mean lost kicks.
+  // Times the loop exhausted its spin budget, found no work on the park
+  // handshake's re-check, and slept on the idle condvar. With the doorbell
+  // scheduler this should grow only while the node is genuinely quiet.
   std::uint64_t idle_parks() const { return idle_parks_.load(std::memory_order_relaxed); }
 
-  // Total Kick() calls observed; with idle_parks() this is the kick-path
-  // liveness picture the failure-scenario tests assert over.
+  // Parks that ended in a wake (rather than the park timeout). Wakes aimed
+  // at a running loop cost a fence and a load and are not counted, so on a
+  // busy node this stays near zero however many sends and deliveries
+  // there are.
   std::uint64_t kicks() const { return kicks_.load(std::memory_order_relaxed); }
 
   // How long an idle park may sleep, given the engine's earliest
@@ -72,17 +107,19 @@ class EngineRunner {
 
  private:
   FLIPC_ROLE_ENGINE void Loop();
+  // Sleeps until a wake, the park timeout or Stop(), unless the park
+  // handshake's re-check finds work first. Opts out of the lock analysis:
+  // the condvar wait needs std::unique_lock.
+  void Park() FLIPC_NO_THREAD_SAFETY_ANALYSIS;
 
   MessagingEngine& engine_;
   Options options_;
+  // Idle parking. The real coprocessor spins; on a shared host we spin
+  // briefly and then park, to keep single-CPU test machines usable.
+  EngineWaker& waker_;
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
-
-  // Idle parking. The real coprocessor spins; on a shared host we spin
-  // briefly and then park, to keep single-CPU test machines usable.
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
   std::atomic<std::uint64_t> kicks_{0};
   std::atomic<std::uint64_t> idle_parks_{0};
 };

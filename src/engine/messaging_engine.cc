@@ -50,7 +50,7 @@ Status MessagingEngine::RegisterProtocol(std::uint32_t protocol_id, ProtocolHand
 
 bool MessagingEngine::EndpointBlocked(std::uint32_t) const { return false; }
 
-bool MessagingEngine::SendReady(std::uint32_t endpoint, TimeNs now) const {
+bool MessagingEngine::SendReady(std::uint32_t endpoint, LazyNow& now) const {
   const EndpointRecord& record = comm_.endpoint(endpoint);
   if (record.Type() != EndpointType::kSend || EndpointBlocked(endpoint)) {
     return false;
@@ -58,11 +58,19 @@ bool MessagingEngine::SendReady(std::uint32_t endpoint, TimeNs now) const {
   if (const_cast<shm::CommBuffer&>(comm_).queue(endpoint).ProcessableCount() == 0) {
     return false;
   }
-  return !Throttled(endpoint, record, now);
+  return !Throttled(endpoint, record, now) && !HeadBackPressured(endpoint);
+}
+
+bool MessagingEngine::HeadBackPressured(std::uint32_t endpoint) const {
+  const BufferIndex buffer = comm_.queue(endpoint).PeekProcess();
+  if (buffer == waitfree::kInvalidBuffer || !comm_.IsValidBufferIndex(buffer)) {
+    return false;  // No destination: the commit rejects it without the wire.
+  }
+  return wire_.BackPressured(comm_.msg(buffer).header->peer_address().node());
 }
 
 bool MessagingEngine::Throttled(std::uint32_t endpoint, const EndpointRecord& record,
-                                TimeNs now) const {
+                                LazyNow& now) const {
   if (clock_ == nullptr) {
     return false;  // No clock: every capacity-control configuration is inert.
   }
@@ -74,7 +82,7 @@ bool MessagingEngine::Throttled(std::uint32_t endpoint, const EndpointRecord& re
     return false;
   }
   return record.bucket_capacity.ReadRelaxed() != 0 &&
-         BucketTokensAt(endpoint, record, now) == 0;
+         BucketTokensAt(endpoint, record, now.Get()) == 0;
 }
 
 std::uint32_t MessagingEngine::BucketTokensAt(std::uint32_t endpoint,
@@ -136,11 +144,11 @@ void MessagingEngine::SyncSlotState(std::uint32_t endpoint) {
   head_seen_at_[endpoint] = 0;
 }
 
-void MessagingEngine::NoteHeadObserved(std::uint32_t endpoint, TimeNs now) {
+void MessagingEngine::NoteHeadObserved(std::uint32_t endpoint, LazyNow& now) {
   const std::uint32_t processed = comm_.endpoint(endpoint).process_count.ReadRelaxed();
   if (head_seen_count_[endpoint] != processed) {
     head_seen_count_[endpoint] = processed;
-    head_seen_at_[endpoint] = now;
+    head_seen_at_[endpoint] = now.Get();
   }
 }
 
@@ -148,7 +156,7 @@ TimeNs MessagingEngine::NextUnthrottleTime() const {
   if (clock_ == nullptr) {
     return kTimeNever;
   }
-  const TimeNs now = clock_->NowNs();
+  LazyNow now(clock_);
   TimeNs earliest = kTimeNever;
   for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     const EndpointRecord& record = comm_.endpoint(i);
@@ -228,7 +236,7 @@ void MessagingEngine::SweepAllEndpoints() {
 }
 
 bool MessagingEngine::SelectBatchFromActive() {
-  const TimeNs now = NowForThrottle();
+  LazyNow now(clock_);
   const std::uint32_t batch_limit = options_.transmit_batch < 1 ? 1 : options_.transmit_batch;
 
   // ---- Pass 1: one rotation over the active list classifies every entry.
@@ -237,7 +245,7 @@ bool MessagingEngine::SelectBatchFromActive() {
   // endpoint that was in the list at entry is examined at most once;
   // rotated entries land behind the sentinel count.
   scratch_ready_.clear();
-  bool class_ready[shm::kQosClassCount] = {};
+  std::array<bool, shm::kQosClassCount> class_ready{};
   std::uint32_t ready_classes = 0;
   std::size_t rotations = active_.size();
   while (rotations-- > 0) {
@@ -266,6 +274,10 @@ bool MessagingEngine::SelectBatchFromActive() {
       active_.push_back(endpoint);
       continue;
     }
+    if (HeadBackPressured(endpoint)) {
+      active_.push_back(endpoint);  // Destination ring full: wait for its drain.
+      continue;
+    }
     scratch_taken_[endpoint] = 0;
     scratch_ready_.push_back(endpoint);  // Capacity reserved at construction.
     const std::uint32_t cls = QosClassOf(record);
@@ -280,13 +292,13 @@ bool MessagingEngine::SelectBatchFromActive() {
 
   // ---- Class selection: deficit-weighted. Credits move only when classes
   // actually compete (>= 2 ready). The plan serves the class holding the
-  // most credit; then, per selected message, EVERY ready class earns its
-  // weight while the served class pays the total ready weight — earnings
-  // and payments balance per message, so over a contended interval each
-  // class's share of transmissions converges to its weight fraction. A
-  // single ready class is served as-is with credits untouched, which keeps
-  // all-default configurations (every endpoint in class 0) exactly on the
-  // plain round-robin rotation.
+  // most credit; then, per message carried (ChargeClassCredit, at commit),
+  // EVERY ready class earns its weight while the served class pays the
+  // total ready weight — earnings and payments balance per message, so
+  // over a contended interval each class's share of transmissions
+  // converges to its weight fraction. A single ready class is served as-is
+  // with credits untouched, which keeps all-default configurations (every
+  // endpoint in class 0) exactly on the plain round-robin rotation.
   std::uint32_t serve_class = 0;
   const bool competing = ready_classes >= 2;
   std::int64_t ready_weight = 0;
@@ -359,22 +371,8 @@ bool MessagingEngine::SelectBatchFromActive() {
       }
     }
     planned_batch_.push_back(endpoint);
-    if (competing) {
-      FLIPC_BOUNDED_BY(shm::kQosClassCount);
-      for (std::uint32_t cls = 0; cls < shm::kQosClassCount; ++cls) {
-        if (class_ready[cls]) {
-          class_credit_[cls] += options_.qos_weights[cls];
-          if (class_credit_[cls] > kQosCreditClamp) {
-            class_credit_[cls] = kQosCreditClamp;  // Bound credit drift.
-          }
-        }
-      }
-      class_credit_[serve_class] -= ready_weight;
-      if (class_credit_[serve_class] < -kQosCreditClamp) {
-        class_credit_[serve_class] = -kQosCreditClamp;
-      }
-    }
   }
+  planned_charge_ = {competing, serve_class, ready_weight, class_ready};
 
   // Ready endpoints that did not make this batch stay scheduled: rotate
   // them to the back of the active list (their in_active_ bit never
@@ -387,6 +385,26 @@ bool MessagingEngine::SelectBatchFromActive() {
     }
   }
   return !planned_batch_.empty();
+}
+
+void MessagingEngine::ChargeClassCredit() {
+  const CreditCharge& charge = planned_charge_;
+  if (!charge.competing) {
+    return;
+  }
+  FLIPC_BOUNDED_BY(shm::kQosClassCount);
+  for (std::uint32_t cls = 0; cls < shm::kQosClassCount; ++cls) {
+    if (charge.class_ready[cls]) {
+      class_credit_[cls] += options_.qos_weights[cls];
+      if (class_credit_[cls] > kQosCreditClamp) {
+        class_credit_[cls] = kQosCreditClamp;  // Bound credit drift.
+      }
+    }
+  }
+  class_credit_[charge.serve_class] -= charge.ready_weight;
+  if (class_credit_[charge.serve_class] < -kQosCreditClamp) {
+    class_credit_[charge.serve_class] = -kQosCreditClamp;
+  }
 }
 
 void MessagingEngine::PlanOutboundBatch() {
@@ -455,14 +473,13 @@ DurationNs MessagingEngine::PlanStep() {
   };
 
   // Inbound first: the receiving node must always be ready to accept from
-  // the interconnect (the optimistic protocol's no-deadlock guarantee).
-  // The poll consumes at plan time and the packet rides planned_packet_
-  // into the commit.
-  simnet::Packet packet;
-  if (wire_.Poll(&packet)) {
+  // the interconnect (the optimistic protocol's no-deadlock guarantee, and
+  // why two back-pressured rings cannot deadlock two engines). The poll
+  // consumes at plan time, straight into planned_packet_, which carries
+  // the packet into the commit.
+  if (wire_.Poll(&planned_packet_)) {
     planned_ = WorkKind::kInbound;
-    planned_cost_ = price_inbound(packet);
-    planned_packet_ = std::move(packet);
+    planned_cost_ = price_inbound(planned_packet_);
     return planned_cost_;
   }
 
@@ -513,7 +530,8 @@ bool MessagingEngine::CommitStep() {
   const DurationNs committed_cost = planned_cost_;
   planned_ = WorkKind::kNone;
   planned_cost_ = 0;
-  if (telemetry_ != nullptr && kind != WorkKind::kNone) {
+  // An outbound unit is sampled below, only once it carried a message.
+  if (telemetry_ != nullptr && kind != WorkKind::kNone && kind != WorkKind::kOutbound) {
     telemetry_->plan_cost_ns.Add(static_cast<double>(committed_cost));
   }
 
@@ -521,13 +539,12 @@ bool MessagingEngine::CommitStep() {
     case WorkKind::kNone:
       return false;
     case WorkKind::kInbound: {
-      simnet::Packet packet = std::move(*planned_packet_);
-      planned_packet_.reset();
+      const std::uint32_t protocol = planned_packet_.protocol;
       ++stats_.work_units;
-      if (packet.protocol == simnet::kProtocolFlipc) {
-        DeliverLocal(packet, cost);
-      } else if (packet.protocol < kMaxProtocols && handlers_[packet.protocol] != nullptr) {
-        handlers_[packet.protocol]->HandlePacket(std::move(packet), cost);
+      if (protocol == simnet::kProtocolFlipc) {
+        DeliverLocal(planned_packet_, cost);
+      } else if (protocol < kMaxProtocols && handlers_[protocol] != nullptr) {
+        handlers_[protocol]->HandlePacket(std::move(planned_packet_), cost);
       } else {
         ++stats_.unknown_protocol_packets;
       }
@@ -535,10 +552,17 @@ bool MessagingEngine::CommitStep() {
       return true;
     }
     case WorkKind::kOutbound: {
-      ++stats_.work_units;
-      CommitOutbound(cost);
+      // A unit whose first message the wire back-pressured did nothing
+      // (only on a wire that cannot report a full ring ahead of the plan).
+      const bool carried = CommitOutbound(cost);
+      if (carried) {
+        ++stats_.work_units;
+        if (telemetry_ != nullptr) {
+          telemetry_->plan_cost_ns.Add(static_cast<double>(committed_cost));
+        }
+      }
       deferred_cost_ += cost.Take();
-      return true;
+      return carried;
     }
     case WorkKind::kHandler: {
       ++stats_.work_units;
@@ -552,6 +576,9 @@ bool MessagingEngine::CommitStep() {
 
 bool MessagingEngine::Step() {
   PlanStep();
+  if (planned_ == WorkKind::kNone) {
+    return false;  // Idle: CommitStep would only plan (and sweep) again.
+  }
   return CommitStep();
 }
 
@@ -574,7 +601,7 @@ void MessagingEngine::RecoverFromBuffer() {
   // covers (same as a packet lost mid-wire).
   planned_ = WorkKind::kNone;
   planned_cost_ = 0;
-  planned_packet_.reset();
+  planned_packet_.payload.clear();
   planned_batch_.clear();
   while (!active_.empty()) {
     active_.pop_front();
@@ -626,7 +653,7 @@ bool MessagingEngine::HasWork() const {
   if (ring.HasPending() || ring.OverflowPending()) {
     return true;
   }
-  const TimeNs now = NowForThrottle();
+  LazyNow now(clock_);
   for (std::size_t i = 0; i < active_.size(); ++i) {
     if (SendReady(active_.at(i), now)) {
       return true;
@@ -662,15 +689,16 @@ bool MessagingEngine::ValidateSendBuffer(std::uint32_t endpoint_index, BufferInd
   return true;
 }
 
-void MessagingEngine::CommitOutbound(simnet::CostAccumulator& cost) {
+bool MessagingEngine::CommitOutbound(simnet::CostAccumulator& cost) {
   FLIPC_HOT_PATH("MessagingEngine::CommitOutbound");
-  ++stats_.transmit_batches;
-  stats_.batched_messages += planned_batch_.size();
-  if (telemetry_ != nullptr) {
-    telemetry_->batch_size.Add(static_cast<double>(planned_batch_.size()));
-  }
-  for (const std::uint32_t endpoint_index : planned_batch_) {
-    CommitOutboundOne(endpoint_index, cost);
+  std::size_t carried = 0;
+  FLIPC_BOUNDED_BY(planned_batch_.size());
+  for (; carried < planned_batch_.size(); ++carried) {
+    const std::uint32_t endpoint_index = planned_batch_[carried];
+    if (!CommitOutboundOne(endpoint_index, cost)) {
+      break;  // Back-pressured: the batch shares one destination.
+    }
+    ChargeClassCredit();
     // Re-schedule the endpoint while it still holds processable work;
     // otherwise clear its membership so the next doorbell re-activates
     // it. (in_active_ covered the endpoint during the batch, deduping
@@ -682,19 +710,34 @@ void MessagingEngine::CommitOutbound(simnet::CostAccumulator& cost) {
       in_active_[endpoint_index] = 0;
     }
   }
+  // The back-pressured rest keep their messages at their queue heads and
+  // their place in the rotation; a later plan retries them.
+  FLIPC_BOUNDED_BY(planned_batch_.size());
+  for (std::size_t i = carried; i < planned_batch_.size(); ++i) {
+    active_.push_back(planned_batch_[i]);
+  }
   planned_batch_.clear();
+  if (carried == 0) {
+    return false;
+  }
+  ++stats_.transmit_batches;
+  stats_.batched_messages += carried;
+  if (telemetry_ != nullptr) {
+    telemetry_->batch_size.Add(static_cast<double>(carried));
+  }
+  return true;
 }
 
-void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
+bool MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
                                         simnet::CostAccumulator& cost) {
   SyncSlotState(endpoint_index);  // Slot may have churned between plan and commit.
   EndpointRecord& record = comm_.endpoint(endpoint_index);
   if (record.Type() != EndpointType::kSend) {
-    return;  // Endpoint freed between plan and commit.
+    return true;  // Endpoint freed between plan and commit.
   }
   waitfree::BufferQueueView queue = comm_.queue(endpoint_index);
   if (queue.ProcessableCount() == 0) {
-    return;  // Drained between plan and commit.
+    return true;  // Drained between plan and commit.
   }
   shm::TelemetryBlock& telemetry = comm_.telemetry(endpoint_index);
   telemetry.NoteQueueDepth(queue.ProcessableCount());
@@ -707,7 +750,7 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     ++stats_.validity_rejections;
     telemetry.RecordEngineReject();
     CompleteSend(endpoint_index);
-    return;
+    return true;
   }
 
   // Validity checks (configurable; the paper measures +2 us for them).
@@ -717,7 +760,7 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   if (!ValidateSendBuffer(endpoint_index, buffer)) {
     telemetry.RecordEngineReject();
     CompleteSend(endpoint_index);
-    return;
+    return true;
   }
 
   shm::MsgView view = comm_.msg(buffer);
@@ -729,7 +772,7 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     ++stats_.validity_rejections;
     telemetry.RecordEngineReject();
     CompleteSend(endpoint_index);
-    return;
+    return true;
   }
 
   // Protection extension: a restricted endpoint may only address its
@@ -742,13 +785,22 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     telemetry.RecordEngineReject();
     Trace(TraceEvent::kEngineReject, endpoint_index);
     CompleteSend(endpoint_index);
-    return;
+    return true;
   }
 
+  const TransmitOutcome outcome = TransmitMessage(endpoint_index, buffer, src, dst, cost);
+  if (outcome == TransmitOutcome::kBackPressured) {
+    return false;  // Nothing consumed, nothing counted: the head stays queued.
+  }
+
+  // One clock read, at most, serves the token refill, the service gap and
+  // the next head's stamp.
+  LazyNow now(clock_);
+
   // Capacity control: credit tokens accrued since the last refill, then pay
-  // one for this transmission (no rejection path remains below this point).
+  // one for this transmission.
   if (clock_ != nullptr && record.bucket_capacity.ReadRelaxed() != 0) {
-    RefillBucket(endpoint_index, record, clock_->NowNs());
+    RefillBucket(endpoint_index, record, now.Get());
     if (bucket_tokens_[endpoint_index] > 0) {
       --bucket_tokens_[endpoint_index];
     }
@@ -760,10 +812,10 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   // (process_count); a mismatched stamp belongs to an earlier message.
   if (clock_ != nullptr &&
       head_seen_count_[endpoint_index] == record.process_count.ReadRelaxed()) {
-    const TimeNs now = clock_->NowNs();
+    const TimeNs at = now.Get();
     const std::uint64_t waited =
-        now > head_seen_at_[endpoint_index]
-            ? static_cast<std::uint64_t>(now - head_seen_at_[endpoint_index])
+        at > head_seen_at_[endpoint_index]
+            ? static_cast<std::uint64_t>(at - head_seen_at_[endpoint_index])
             : 0;
     telemetry.NoteServiceGap(waited);
     const std::uint32_t deadline = record.deadline_ns.ReadRelaxed();
@@ -773,10 +825,13 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   }
 
   // Counted here (not inside the strategy) so subclasses that defer
-  // completion still account the attempt; at quiescence
+  // completion still account the attempt, and before the completion
+  // publishes process_count: at quiescence
   // processed_total == engine_transmits + engine_rejects.
   telemetry.RecordEngineTransmit();
-  TransmitMessage(endpoint_index, buffer, src, dst, cost);
+  if (outcome == TransmitOutcome::kComplete) {
+    CompleteSend(endpoint_index);
+  }
 
   // The next message (if already queued) became head at this instant;
   // stamp it now so its wait is measured from here, not from the next
@@ -784,42 +839,44 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   // unchanged, which makes this a no-op — the stamp stays on the
   // still-unfinished head.
   if (clock_ != nullptr && queue.ProcessableCount() > 0) {
-    NoteHeadObserved(endpoint_index, clock_->NowNs());
+    NoteHeadObserved(endpoint_index, now);
   }
+  return true;
 }
 
-void MessagingEngine::TransmitMessage(std::uint32_t endpoint_index, BufferIndex buffer,
-                                      Address src, Address dst, simnet::CostAccumulator& cost) {
+MessagingEngine::TransmitOutcome MessagingEngine::TransmitMessage(
+    std::uint32_t endpoint_index, BufferIndex buffer, Address src, Address dst,
+    simnet::CostAccumulator& cost) {
+  // The packet stands in for the interconnect DMA: on the Paragon the
+  // payload moves over the mesh. Its payload is inline, so building it and
+  // handing it to the wire stay on the allocation-free hot path (the
+  // simulated wire exempts its own event machinery).
   shm::MsgView view = comm_.msg(buffer);
+  simnet::Packet packet;
+  packet.dst_node = dst.node();
+  packet.protocol = simnet::kProtocolFlipc;
+  packet.src_addr = src.packed();
+  packet.dst_addr = dst.packed();
+  packet.seq = send_seq_;
+  packet.payload.assign(view.payload, view.payload + view.payload_size);
 
-  {
-    // The packet here stands in for the interconnect DMA: on the Paragon
-    // the payload moves over the mesh, not through the heap. The simulated
-    // wire copies it into an owning Packet (payload vector) and hands it to
-    // the fabric's event queue — simulation machinery, exempt from the
-    // hot-path guards by design.
-    FLIPC_HOT_PATH_EXEMPT("simulated-wire DMA and fabric enqueue");
-    simnet::Packet packet;
-    packet.dst_node = dst.node();
-    packet.protocol = simnet::kProtocolFlipc;
-    packet.src_addr = src.packed();
-    packet.dst_addr = dst.packed();
-    packet.seq = send_seq_++;
-    packet.payload.assign(view.payload, view.payload + view.payload_size);
-
-    const Status status = wire_.Send(std::move(packet));
-    if (!status.ok()) {
-      // Unknown destination node: the optimistic protocol has no error path
-      // back to the sender; the message is charged as a bad-address discard.
-      ++stats_.drops_bad_address;
-    } else {
-      ++stats_.messages_sent;
-      stats_.bytes_sent += view.payload_size;
-      Trace(TraceEvent::kEngineSend, endpoint_index, buffer);
-    }
+  const Status status = wire_.Send(std::move(packet));
+  if (status.code() == StatusCode::kUnavailable) {
+    return TransmitOutcome::kBackPressured;  // Same seq again on the retry.
+  }
+  ++send_seq_;
+  if (!status.ok()) {
+    // Unknown destination node (or a frame the wire cannot carry): the
+    // optimistic protocol has no error path back to the sender; the
+    // message is charged as a bad-address discard.
+    ++stats_.drops_bad_address;
+  } else {
+    ++stats_.messages_sent;
+    stats_.bytes_sent += view.payload_size;
+    Trace(TraceEvent::kEngineSend, endpoint_index, buffer);
   }
   ChargeModel(cost, 0);  // Native transmit costs were charged at plan time.
-  CompleteSend(endpoint_index);
+  return TransmitOutcome::kComplete;
 }
 
 void MessagingEngine::CompleteSend(std::uint32_t endpoint_index) {

@@ -31,8 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
-
 #include <vector>
 
 #include "src/base/clock.h"
@@ -207,10 +205,13 @@ class MessagingEngine {
   FLIPC_ROLE_ENGINE DurationNs PlanStep();
 
   // Executes the planned work unit (plans one first if none is pending).
-  // Returns whether any work was performed.
+  // Returns whether any work was performed: an outbound unit whose first
+  // message the wire back-pressured performed none.
   FLIPC_ROLE_ENGINE bool CommitStep();
 
-  // Plan + commit in one call; used by the real-concurrency runner.
+  // Plan + commit in one call; used by the real-concurrency runner. Plans
+  // exactly once: returns false without committing when nothing was
+  // planned.
   FLIPC_ROLE_ENGINE bool Step();
 
   // ---- Crash recovery (DESIGN.md §14) ----
@@ -227,6 +228,9 @@ class MessagingEngine {
   // the sweep-cause identity); it increments stats_.recoveries instead.
   FLIPC_ROLE_QUIESCENT void RecoverFromBuffer();
 
+  // Whether a Step() could find work. Stays true while send work waits on a
+  // back-pressured wire, so a runner spins (never parks) until the
+  // destination engine frees ring space.
   bool HasWork() const;
 
   // Optional flight recorder; events are stamped with the engine's clock
@@ -287,11 +291,20 @@ class MessagingEngine {
   const EngineOptions& options() const { return options_; }
 
  protected:
+  // What a transmission strategy did with the head message.
+  enum class TransmitOutcome {
+    kBackPressured,  // The wire had no room: nothing changed; retry later.
+    kComplete,       // Sent (or discarded); complete the send now.
+    kDeferred,       // Sent; the strategy completes the send later.
+  };
+
   // Transmission strategy; the native engine sends one optimistic packet
   // and completes immediately. The KKT engine overrides this (RPC per
-  // message, deferred completion).
-  virtual void TransmitMessage(std::uint32_t endpoint_index, waitfree::BufferIndex buffer,
-                               Address src, Address dst, simnet::CostAccumulator& cost);
+  // message, deferred completion). The caller accounts the transmission
+  // and, for kComplete, completes the send.
+  virtual TransmitOutcome TransmitMessage(std::uint32_t endpoint_index,
+                                          waitfree::BufferIndex buffer, Address src,
+                                          Address dst, simnet::CostAccumulator& cost);
 
   // True when the endpoint must not transmit now (KKT: RPC in flight).
   virtual bool EndpointBlocked(std::uint32_t endpoint_index) const;
@@ -346,9 +359,34 @@ class MessagingEngine {
   // throttled ones rotate to the back.
   bool SelectBatchFromActive();
 
+  // The clock, read at most once and only when first asked: an idle plan
+  // or an unthrottled, already-stamped endpoint never reads it.
+  class LazyNow {
+   public:
+    explicit LazyNow(const Clock* clock) : clock_(clock) {}
+    TimeNs Get() {
+      if (!read_) {
+        now_ = clock_ != nullptr ? clock_->NowNs() : 0;
+        read_ = true;
+      }
+      return now_;
+    }
+
+   private:
+    const Clock* clock_;
+    TimeNs now_ = 0;
+    bool read_ = false;
+  };
+
   // True when `endpoint` is a send endpoint with processable work that is
-  // not blocked (KKT in-flight) or throttled (rate limit).
-  bool SendReady(std::uint32_t endpoint, TimeNs now) const;
+  // not blocked (KKT in-flight), throttled (rate limit) or back-pressured.
+  bool SendReady(std::uint32_t endpoint, LazyNow& now) const;
+
+  // True when the wire would refuse the endpoint's head message right now:
+  // its destination ring is full. Such a head stays queued but is not work
+  // (not planned, not in HasWork, not counted) until the consumer drains
+  // the ring, and that drain wakes this engine (ThreadFabric).
+  bool HeadBackPressured(std::uint32_t endpoint) const;
 
   TimeNs NowForThrottle() const {
     return clock_ != nullptr ? clock_->NowNs() : 0;
@@ -359,8 +397,9 @@ class MessagingEngine {
   // True when the endpoint's token bucket forbids transmitting at `now`.
   // Pure read: a slot whose alloc_generation differs from the engine's copy
   // is never throttled (its recorded state belongs to the previous tenant).
+  // Reads the clock only when a bucket is configured.
   bool Throttled(std::uint32_t endpoint, const shm::EndpointRecord& record,
-                 TimeNs now) const;
+                 LazyNow& now) const;
 
   // Tokens the endpoint's bucket would hold at `now`, counting accrued
   // refills without mutating the bucket state.
@@ -381,8 +420,9 @@ class MessagingEngine {
 
   // Stamps when the endpoint's current head message was first observed
   // (process_count changed); the base for EDF deadlines, deadline-miss
-  // accounting and the service-gap telemetry.
-  void NoteHeadObserved(std::uint32_t endpoint, TimeNs now);
+  // accounting and the service-gap telemetry. Reads the clock only when the
+  // stamp changes.
+  void NoteHeadObserved(std::uint32_t endpoint, LazyNow& now);
 
   // The endpoint's class, clamped to [0, kQosClassCount).
   static std::uint32_t QosClassOf(const shm::EndpointRecord& record) {
@@ -401,12 +441,15 @@ class MessagingEngine {
   // if the message may be transmitted.
   bool ValidateSendBuffer(std::uint32_t endpoint_index, waitfree::BufferIndex buffer);
 
-  void CommitInbound(simnet::CostAccumulator& cost);
-  void CommitOutbound(simnet::CostAccumulator& cost);
+  // Commits the planned batch up to its first back-pressured message;
+  // returns whether any message was carried (sent or rejected).
+  bool CommitOutbound(simnet::CostAccumulator& cost);
 
   // Transmits the head message of one endpoint of the planned batch
-  // (validity, protection and rate-limit checks included).
-  void CommitOutboundOne(std::uint32_t endpoint_index, simnet::CostAccumulator& cost);
+  // (validity, protection and rate-limit checks included). Returns false
+  // when the wire back-pressured it: the message stays at its queue head
+  // and no transmission is counted.
+  bool CommitOutboundOne(std::uint32_t endpoint_index, simnet::CostAccumulator& cost);
 
   shm::CommBuffer& comm_;
   simnet::Wire& wire_;
@@ -442,6 +485,16 @@ class MessagingEngine {
   // credit (or debt).
   static constexpr std::int64_t kQosCreditClamp = 1 << 20;
   std::array<std::int64_t, shm::kQosClassCount> class_credit_{};
+  // The planned batch's credit terms, paid per message carried at commit
+  // (ChargeClassCredit), so a message the wire refuses pays nothing.
+  struct CreditCharge {
+    bool competing = false;
+    std::uint32_t serve_class = 0;
+    std::int64_t ready_weight = 0;
+    std::array<bool, shm::kQosClassCount> class_ready{};
+  };
+  CreditCharge planned_charge_;
+  void ChargeClassCredit();
   // Selection scratch (capacity reserved at construction; the plan path
   // must never allocate): pass-1 ready candidates in rotation order and
   // the taken flag per scratch position.
@@ -451,9 +504,10 @@ class MessagingEngine {
   static constexpr std::uint32_t kMaxProtocols = 8;
   std::array<ProtocolHandler*, kMaxProtocols> handlers_{};
 
-  // Planned work unit.
+  // Planned work unit. An inbound unit's packet is polled straight into
+  // planned_packet_ (valid while planned_ == kInbound).
   WorkKind planned_ = WorkKind::kNone;
-  std::optional<simnet::Packet> planned_packet_;
+  simnet::Packet planned_packet_;
   std::uint32_t planned_handler_ = 0;
   DurationNs planned_cost_ = 0;
 

@@ -12,7 +12,10 @@ namespace flipc {
 Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
   auto cluster = std::unique_ptr<Cluster>(new Cluster());
   cluster->options_ = options;  // RestartEngine rebuilds engines from these.
-  cluster->fabric_ = std::make_unique<simnet::ThreadFabric>(options.node_count);
+  // Ring frames sized to the comm buffer's messages: a FLIPC payload
+  // (message_size less the 8-byte header) always fits.
+  cluster->fabric_ =
+      std::make_unique<simnet::ThreadFabric>(options.node_count, options.comm.message_size);
 
   for (NodeId n = 0; n < options.node_count; ++n) {
     auto node = std::make_unique<Node>();
@@ -22,18 +25,13 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
     FLIPC_ASSIGN_OR_RETURN(node->domain,
                            Domain::Create(domain_options, &cluster->semaphores_));
 
-    // The kick null-checks the runner under the node's runner mutex:
-    // between KillEngine and RestartEngine there is no runner, and a kick
-    // must then be a no-op, not a crash. (Kicking is already off the
-    // product hot path — a host-thread parking artifact.) Sends and
-    // fabric deliveries both wake the node's engine.
-    Node* node_ptr = node.get();
-    const auto kick = [node_ptr] {
-      ScopedLock<std::mutex> guard(node_ptr->runner_mutex);
-      if (node_ptr->runner != nullptr) {
-        node_ptr->runner->Kick();
-      }
-    };
+    // Sends, fabric deliveries and drains of the node's outbound rings all
+    // wake the node's engine through the node's waker, which outlives every
+    // runner: between KillEngine and RestartEngine nothing is parked on it,
+    // so a kick costs a fence and a load and wakes nobody. No lock is taken
+    // unless a runner is parked.
+    engine::EngineWaker* waker = &node->waker;
+    const auto kick = [waker] { waker->Wake(); };
     node->domain->SetEngineKick(kick);
     cluster->fabric_->SetDeliveryCallback(n, kick);
 
@@ -53,7 +51,7 @@ void Cluster::BuildEngine(NodeId node_id) {
   eng->SetClock(&RealClock::Instance());
   engine::EngineRunner::Options runner_options;
   runner_options.max_idle_park_ns = options_.max_idle_park_ns;
-  auto runner = std::make_unique<engine::EngineRunner>(*eng, runner_options);
+  auto runner = std::make_unique<engine::EngineRunner>(*eng, node.waker, runner_options);
   ScopedLock<std::mutex> guard(node.runner_mutex);
   node.engine = std::move(eng);
   node.runner = std::move(runner);
@@ -83,8 +81,8 @@ void Cluster::Stop() {
     return;
   }
   for (auto& node : nodes_) {
-    // Move the runner out under the mutex, join outside it: a dying loop
-    // thread may be inside a kick lambda that takes the same mutex.
+    // Move the runner out under the mutex, join outside it, so accessors
+    // on other threads never wait on a join.
     std::unique_ptr<engine::EngineRunner> runner;
     {
       ScopedLock<std::mutex> guard(node->runner_mutex);
@@ -114,8 +112,8 @@ bool Cluster::KillEngine(NodeId node_id) {
     }
     runner = std::move(node.runner);
   }
-  // Join outside the mutex (the loop thread's last act may be a kick that
-  // takes it). After the join nothing references the engine; destroy it.
+  // Join outside the mutex, as in Stop(). After the join nothing references
+  // the engine; destroy it.
   if (runner != nullptr) {
     runner->Stop();
     runner.reset();

@@ -10,7 +10,9 @@
 //                model. All paper-reproduction benchmarks use this.
 //
 // Both wire the kick paths: Domain::KickEngine() (after sends) and the
-// fabric delivery callback both wake the node's engine.
+// fabric delivery callback both wake the node's engine. In a Cluster a
+// kick goes to the node's EngineWaker, which costs a fence and a load
+// unless the node's runner is parked.
 #ifndef SRC_FLIPC_CLUSTER_H_
 #define SRC_FLIPC_CLUSTER_H_
 
@@ -85,14 +87,14 @@ class Cluster {
 
  private:
   struct Node {
+    // The wake side of every runner this node ever runs (declared first, so
+    // it outlives them); kicks go here and never touch engine or runner.
+    engine::EngineWaker waker;
     std::unique_ptr<Domain> domain;
     std::unique_ptr<engine::MessagingEngine> engine;
     std::unique_ptr<engine::EngineRunner> runner;
-    // Guards engine and runner against kick lambdas racing
-    // KillEngine/RestartEngine swaps. Kicks take it briefly (off the
-    // product hot path: kicking is already a host-thread parking
-    // artifact); runner joins happen OUTSIDE it, because the dying loop
-    // thread may itself be inside a kick.
+    // Guards engine and runner against accessors racing
+    // KillEngine/RestartEngine swaps. Runner joins happen outside it.
     mutable std::mutex runner_mutex;
   };
 

@@ -77,8 +77,9 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
     domain_->calls().sends.fetch_add(1, std::memory_order_relaxed);
     {
       // Kicking the engine out of its idle park is a host-thread artifact
-      // (condvar notify under the runner's mutex); on the Paragon the engine
-      // is a co-processor that is simply running. Not a Paragon-path cost.
+      // (a fence and a load, plus a lock and a notify when the engine is
+      // parked); on the Paragon the engine is a co-processor that is simply
+      // running. Not a Paragon-path cost.
       FLIPC_HOT_PATH_EXEMPT("engine kick: host-thread parking artifact");
       domain_->KickEngine();
     }

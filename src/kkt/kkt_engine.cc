@@ -51,9 +51,9 @@ bool KktMessagingEngine::EndpointBlocked(std::uint32_t endpoint_index) const {
   return in_flight_.find(endpoint_index) != in_flight_.end();
 }
 
-void KktMessagingEngine::TransmitMessage(std::uint32_t endpoint_index,
-                                         waitfree::BufferIndex buffer, Address src, Address dst,
-                                         simnet::CostAccumulator& cost) {
+engine::MessagingEngine::TransmitOutcome KktMessagingEngine::TransmitMessage(
+    std::uint32_t endpoint_index, waitfree::BufferIndex buffer, Address src, Address dst,
+    simnet::CostAccumulator& cost) {
   // KKT is the development transport: an RPC (marshal + kernel send) per
   // message is the paper's documented mismatch with FLIPC, not part of the
   // wait-free path — the batched commit may reach this from an armed scope.
@@ -66,20 +66,24 @@ void KktMessagingEngine::TransmitMessage(std::uint32_t endpoint_index,
   request.kind = kKktRequest;
   request.src_addr = src.packed();
   request.dst_addr = dst.packed();
-  const std::uint64_t token = next_token_++;
-  request.seq = token;
+  request.seq = next_token_;
   request.payload.assign(view.payload, view.payload + view.payload_size);
 
-  if (!wire().Send(std::move(request)).ok()) {
+  const Status status = wire().Send(std::move(request));
+  if (status.code() == StatusCode::kUnavailable) {
+    return TransmitOutcome::kBackPressured;  // The token is reused on the retry.
+  }
+  const std::uint64_t token = next_token_++;
+  if (!status.ok()) {
     ++stats_.drops_bad_address;
-    CompleteSend(endpoint_index);
-    return;
+    return TransmitOutcome::kComplete;
   }
   ++rpcs_sent_;
   in_flight_.emplace(endpoint_index, token);
   (void)cost;  // Transmission cost is priced at plan time (TransmitPlanCost).
   // Completion is deferred until the response arrives; the endpoint is
   // blocked (stop-and-wait) meanwhile.
+  return TransmitOutcome::kDeferred;
 }
 
 void KktMessagingEngine::HandleKktPacket(simnet::Packet packet, simnet::CostAccumulator& cost) {

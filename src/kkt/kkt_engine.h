@@ -48,8 +48,9 @@ class KktMessagingEngine final : public engine::MessagingEngine {
   std::uint64_t rpcs_served() const { return rpcs_served_; }
 
  protected:
-  void TransmitMessage(std::uint32_t endpoint_index, waitfree::BufferIndex buffer, Address src,
-                       Address dst, simnet::CostAccumulator& cost) override;
+  TransmitOutcome TransmitMessage(std::uint32_t endpoint_index, waitfree::BufferIndex buffer,
+                                  Address src, Address dst,
+                                  simnet::CostAccumulator& cost) override;
 
   bool EndpointBlocked(std::uint32_t endpoint_index) const override;
   DurationNs TransmitPlanCost() const override { return kkt_model_.rpc_send_ns; }

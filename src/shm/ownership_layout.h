@@ -33,6 +33,7 @@
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
+#include "src/waitfree/spsc_ring.h"
 
 namespace flipc::shm {
 
@@ -188,6 +189,21 @@ inline constexpr FieldOwnership kPaddedDropCounterOwnership[] = {
      false},
 };
 
+// ---- SpscCursors (src/waitfree/spsc_ring.h) ----
+// The real-thread wire's per-(source, destination) ring. Not comm-buffer
+// state: both cursors are engine-side, and the single-writer split is
+// BETWEEN ENGINES — the source node's engine writes wire_tail (and the
+// frames it publishes), the destination node's engine writes wire_head,
+// each on its own cache line. The lint below cannot tell two engines apart
+// (both are kEngine); the static_assert on sizeof(SpscCursors) keeps the
+// lines apart.
+inline constexpr FieldOwnership kSpscCursorsOwnership[] = {
+    {"SpscCursors.wire_tail", offsetof(waitfree::SpscCursors, wire_tail),
+     sizeof(waitfree::SpscCursors::wire_tail), ownership_internal::kEng, true, false},
+    {"SpscCursors.wire_head", offsetof(waitfree::SpscCursors, wire_head),
+     sizeof(waitfree::SpscCursors::wire_head), ownership_internal::kEng, true, false},
+};
+
 // ---- CommBufferHeader (src/shm/comm_buffer.h) ----
 // Entirely application-written: identity once at format time, allocation
 // state under alloc_lock. Listed so the audit covers every shared struct;
@@ -333,6 +349,9 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"DoorbellCursors.overflow_rung", FieldOrderKind::kFlag},
     {"DoorbellCursors.ring_head", FieldOrderKind::kHintCursor},
     {"DoorbellCursors.overflow_seen", FieldOrderKind::kFlag},
+    // SpscCursors
+    {"SpscCursors.wire_tail", FieldOrderKind::kCursor},
+    {"SpscCursors.wire_head", FieldOrderKind::kCursor},
     // PaddedDropCounterParts
     {"PaddedDropCounterParts.dropped", FieldOrderKind::kCounter},
     {"PaddedDropCounterParts.reclaimed", FieldOrderKind::kCounter},
@@ -486,6 +505,10 @@ static_assert(CacheLinesHaveSingleWriter(kPaddedDropCounterOwnership),
               "words");
 static_assert(FieldsAlignedWithinLines(kPaddedDropCounterOwnership),
               "PaddedDropCounterParts: a shared field is misaligned or straddles a line");
+static_assert(CacheLinesHaveSingleWriter(kSpscCursorsOwnership),
+              "SpscCursors: a cache line mixes producer- and consumer-written words");
+static_assert(FieldsAlignedWithinLines(kSpscCursorsOwnership),
+              "SpscCursors: a shared field is misaligned or straddles a cache line");
 static_assert(CacheLinesHaveSingleWriter(kCommBufferHeaderOwnership),
               "CommBufferHeader: a cache line mixes words with distinct writers");
 static_assert(FieldsAlignedWithinLines(kCommBufferHeaderOwnership),

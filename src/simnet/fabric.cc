@@ -1,10 +1,12 @@
 #include "src/simnet/fabric.h"
 
-#include "src/base/thread_annotations.h"
-
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <utility>
+
+#include "src/base/hotpath.h"
 
 namespace flipc::simnet {
 
@@ -49,6 +51,9 @@ class SimFabric::SimWire final : public Wire {
   SimWire(SimFabric& fabric, NodeId node) : fabric_(fabric), node_(node) {}
 
   Status Send(Packet packet) override {
+    // The discrete-event machinery (an owning event closure per packet, the
+    // inbox deque) stands in for the interconnect; it allocates by design.
+    FLIPC_HOT_PATH_EXEMPT("DES machinery: simulated interconnect event queue");
     packet.src_node = node_;
     return fabric_.SendFrom(node_, std::move(packet));
   }
@@ -200,71 +205,158 @@ Status SimFabric::SendFrom(NodeId src, Packet packet) {
 
 // ============================= ThreadFabric ==================================
 
+namespace {
+
+// A packet as it sits in a ring slot: this header, then `size` payload
+// bytes. The ring itself names the source and destination nodes.
+struct FrameHeader {
+  std::uint64_t seq;
+  std::uint32_t protocol;
+  std::uint32_t src_addr;
+  std::uint32_t dst_addr;
+  std::uint32_t kind;
+  std::uint32_t size;
+};
+
+}  // namespace
+
 class ThreadFabric::ThreadWire final : public Wire {
  public:
   ThreadWire(ThreadFabric& fabric, NodeId node) : fabric_(fabric), node_(node) {}
 
+  // Runs on the source node's engine: one copy into the (node_, dst) ring.
   Status Send(Packet packet) override {
-    packet.src_node = node_;
-    if (packet.dst_node >= fabric_.node_count()) {
+    if (packet.dst_node >= fabric_.node_count_) {
       return NotFoundStatus();
     }
-    ThreadWire& dst = *fabric_.wires_[packet.dst_node];
-    std::function<void()> callback;
-    {
-      ScopedLock<std::mutex> guard(dst.mutex_);
-      dst.inbox_.push_back(std::move(packet));
-      callback = dst.delivery_callback_;
+    const std::size_t size = packet.payload.size();
+    if (size > fabric_.frame_bytes_) {
+      return InvalidArgumentStatus();  // Larger than the fabric's frame.
     }
-    if (callback) {
-      callback();
+    waitfree::SpscFrameRingView ring = fabric_.ring(node_, packet.dst_node);
+    std::byte* frame = ring.TryReserve();
+    if (frame == nullptr) {
+      return UnavailableStatus();  // Ring full: back-pressure, retry later.
+    }
+    const FrameHeader header{packet.seq, packet.protocol, packet.src_addr, packet.dst_addr,
+                             packet.kind, static_cast<std::uint32_t>(size)};
+    std::memcpy(frame, &header, sizeof(header));
+    std::memcpy(frame + sizeof(header), packet.payload.data(), size);
+    ring.Commit();
+    const std::function<void()>& delivered = fabric_.wires_[packet.dst_node].delivery_callback_;
+    if (delivered) {
+      delivered();
     }
     return OkStatus();
   }
 
+  // Runs on this node's engine: one copy out of the next non-empty inbound
+  // ring, visiting sources round-robin (each ring keeps its pair's FIFO).
   bool Poll(Packet* out) override {
-    ScopedLock<std::mutex> guard(mutex_);
-    if (inbox_.empty()) {
-      return false;
+    const std::uint32_t n = fabric_.node_count_;
+    FLIPC_BOUNDED_BY(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const NodeId src = next_source_;
+      next_source_ = src + 1 < n ? src + 1 : 0;
+      waitfree::SpscFrameRingView ring = fabric_.ring(src, node_);
+      const std::byte* frame = ring.Front();
+      if (frame == nullptr) {
+        continue;
+      }
+      FrameHeader header;
+      std::memcpy(&header, frame, sizeof(header));
+      out->seq = header.seq;
+      out->src_node = src;
+      out->dst_node = node_;
+      out->protocol = header.protocol;
+      out->src_addr = header.src_addr;
+      out->dst_addr = header.dst_addr;
+      out->kind = header.kind;
+      out->payload.assign(frame + sizeof(header), frame + sizeof(header) + header.size);
+      ring.Pop();
+      if (ring.Drained()) {
+        // The source's engine may be parked on this ring, full when it
+        // last looked; its wake fences after the Pop above, pairing with
+        // the park's re-check of BackPressured.
+        const std::function<void()>& wake_source = fabric_.wires_[src].delivery_callback_;
+        if (wake_source) {
+          wake_source();
+        }
+      }
+      return true;
     }
-    *out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return true;
+    return false;
+  }
+
+  bool BackPressured(NodeId dst) const override {
+    return dst < fabric_.node_count_ && fabric_.ring(node_, dst).NoRoom();
   }
 
   std::size_t PendingCount() const override {
-    ScopedLock<std::mutex> guard(mutex_);
-    return inbox_.size();
+    std::size_t pending = 0;
+    for (NodeId src = 0; src < fabric_.node_count_; ++src) {
+      pending += fabric_.ring(src, node_).PendingCount();
+    }
+    return pending;
   }
 
   NodeId node() const override { return node_; }
 
-  void SetDeliveryCallback(std::function<void()> callback) {
-    ScopedLock<std::mutex> guard(mutex_);
-    delivery_callback_ = std::move(callback);
-  }
+  // Wakes this node's engine: fired by senders after each packet into its
+  // rings, and by consumers when they drain one of its outbound rings; set
+  // before traffic starts.
+  std::function<void()> delivery_callback_;
 
  private:
   ThreadFabric& fabric_;
   NodeId node_;
-  mutable std::mutex mutex_;
-  std::deque<Packet> inbox_ FLIPC_GUARDED_BY(mutex_);
-  std::function<void()> delivery_callback_ FLIPC_GUARDED_BY(mutex_);
+  NodeId next_source_ = 0;  // consumer-private round-robin position
 };
 
-ThreadFabric::ThreadFabric(std::uint32_t node_count) {
+ThreadFabric::ThreadFabric(std::uint32_t node_count)
+    : ThreadFabric(node_count, kDefaultFrameBytes) {}
+
+ThreadFabric::ThreadFabric(std::uint32_t node_count, std::uint32_t frame_bytes)
+    : node_count_(node_count),
+      frame_bytes_(frame_bytes),
+      stride_(AlignUp(sizeof(FrameHeader) + frame_bytes, kCacheLineSize)) {
+  const std::size_t ring_count = static_cast<std::size_t>(node_count) * node_count;
+  const std::size_t cursor_bytes = ring_count * sizeof(waitfree::SpscCursors);
+  ring_storage_bytes_ = cursor_bytes + ring_count * kRingDepth * stride_;
+  // Default-initialized bytes: only the cursors are written below.
+  ring_storage_.reset(new std::byte[ring_storage_bytes_ + kCacheLineSize]);
+  std::byte* base = reinterpret_cast<std::byte*>(
+      AlignUp(reinterpret_cast<std::uintptr_t>(ring_storage_.get()), kCacheLineSize));
+  cursors_ = reinterpret_cast<waitfree::SpscCursors*>(base);
+  std::uninitialized_value_construct_n(cursors_, ring_count);
+  frames_ = base + cursor_bytes;
+  if constexpr (waitfree::kBoundaryCheckEnabled) {
+    for (std::size_t i = 0; i < ring_count; ++i) {
+      cursors_[i].DeclareOwners();
+    }
+  }
   wires_.reserve(node_count);
   for (NodeId n = 0; n < node_count; ++n) {
-    wires_.push_back(std::make_unique<ThreadWire>(*this, n));
+    wires_.emplace_back(*this, n);
   }
 }
 
-ThreadFabric::~ThreadFabric() = default;
+ThreadFabric::~ThreadFabric() {
+  // The detector keys declarations by address; drop them before the heap
+  // can hand this storage to an unrelated object.
+  waitfree::UndeclareCellRange(ring_storage_.get(), ring_storage_bytes_ + kCacheLineSize);
+}
 
-Wire& ThreadFabric::wire(NodeId node) { return *wires_[node]; }
+waitfree::SpscFrameRingView ThreadFabric::ring(NodeId src, NodeId dst) const {
+  const std::size_t i = static_cast<std::size_t>(src) * node_count_ + dst;
+  return waitfree::SpscFrameRingView(&cursors_[i], frames_ + i * kRingDepth * stride_, kRingDepth,
+                                     stride_);
+}
+
+Wire& ThreadFabric::wire(NodeId node) { return wires_[node]; }
 
 void ThreadFabric::SetDeliveryCallback(NodeId node, std::function<void()> callback) {
-  wires_[node]->SetDeliveryCallback(std::move(callback));
+  wires_[node].delivery_callback_ = std::move(callback);
 }
 
 }  // namespace flipc::simnet

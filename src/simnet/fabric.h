@@ -10,16 +10,21 @@
 //     LinkModel, sends serialize at the source interface, and an optional
 //     fault injector can drop packets (used only by tests probing how the
 //     layers above would misbehave on an unreliable interconnect).
-//   * ThreadFabric — real-concurrency; lock-guarded in-order delivery
-//     queues for the examples and stress tests.
+//   * ThreadFabric — real-concurrency, for the examples, the stress tests and
+//     the host-time benchmark. One wait-free SPSC ring of fixed-size frames
+//     per (source, destination) node pair (src/waitfree/spsc_ring.h): a
+//     send is a copy into the pair's ring, a poll a copy out, with no lock
+//     and no allocation. A full ring back-pressures: Send returns
+//     kUnavailable without delivering, and the sender waits (parked, if
+//     idle otherwise) until the consumer drains the ring and wakes it.
 #ifndef SRC_SIMNET_FABRIC_H_
 #define SRC_SIMNET_FABRIC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "src/simnet/des.h"
 #include "src/simnet/link_model.h"
 #include "src/simnet/packet.h"
+#include "src/waitfree/spsc_ring.h"
 
 namespace flipc::simnet {
 
@@ -38,6 +44,8 @@ class Wire {
   virtual ~Wire() = default;
 
   // Queues a packet for transmission. src_node is filled in by the wire.
+  // kUnavailable means the wire is back-pressured: nothing was sent, and
+  // the same packet may be sent again later. Any other error is final.
   virtual Status Send(Packet packet) = 0;
 
   // Retrieves the next delivered packet, if any.
@@ -45,6 +53,11 @@ class Wire {
 
   // Number of packets delivered and waiting.
   virtual std::size_t PendingCount() const = 0;
+
+  // Whether a Send to `dst` would be back-pressured right now. Only this
+  // node's engine asks; it leaves such sends out of its plan and HasWork
+  // until the wire wakes it. A wire that never back-pressures keeps this.
+  virtual bool BackPressured(NodeId /*dst*/) const { return false; }
 
   virtual NodeId node() const = 0;
 };
@@ -57,7 +70,8 @@ class Fabric {
   virtual Wire& wire(NodeId node) = 0;
 
   // Registers a callback fired when a packet is delivered to `node`
-  // (used by engine drivers to wake an idle engine).
+  // (used by engine drivers to wake an idle engine). Register callbacks
+  // before traffic starts.
   virtual void SetDeliveryCallback(NodeId node, std::function<void()> callback) = 0;
 };
 
@@ -208,17 +222,39 @@ class SimFabric final : public Fabric {
 
 class ThreadFabric final : public Fabric {
  public:
+  // Frames per (source, destination) ring. One ring holds a whole
+  // inline_path burst (32) and a stream window (64).
+  static constexpr std::uint32_t kRingDepth = 64;
+  // Largest payload ThreadFabric(n) carries: a 64-byte FLIPC message.
+  static constexpr std::uint32_t kDefaultFrameBytes = 64;
+
   explicit ThreadFabric(std::uint32_t node_count);
+  // `frame_bytes` bounds the payload of one packet (a Cluster passes its
+  // message size); Send rejects a larger payload with kInvalidArgument.
+  ThreadFabric(std::uint32_t node_count, std::uint32_t frame_bytes);
   ~ThreadFabric() override;
 
-  std::uint32_t node_count() const override { return static_cast<std::uint32_t>(wires_.size()); }
+  std::uint32_t node_count() const override { return node_count_; }
   Wire& wire(NodeId node) override;
   void SetDeliveryCallback(NodeId node, std::function<void()> callback) override;
 
  private:
   class ThreadWire;
 
-  std::vector<std::unique_ptr<ThreadWire>> wires_;
+  // The (src, dst) ring: a view over its slice of the shared storage.
+  waitfree::SpscFrameRingView ring(NodeId src, NodeId dst) const;
+
+  std::uint32_t node_count_;
+  std::uint32_t frame_bytes_;
+  std::size_t stride_;
+  // One allocation holds every ring, [src * n + dst]: the cursor blocks
+  // (the only ring state the constructor writes), then the frames,
+  // untouched until traffic reaches them.
+  std::unique_ptr<std::byte[]> ring_storage_;
+  std::size_t ring_storage_bytes_ = 0;
+  waitfree::SpscCursors* cursors_ = nullptr;
+  std::byte* frames_ = nullptr;
+  std::vector<ThreadWire> wires_;
 };
 
 }  // namespace flipc::simnet

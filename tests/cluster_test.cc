@@ -340,5 +340,94 @@ TEST(Cluster, IdleParkWakesAtUnthrottleDeadline) {
   cluster->Stop();
 }
 
+// Lost-wake regression for the park/wake handshake (ParkWakeFlag). Every
+// fourth round waits until BOTH runners are parked, then sends one
+// message, which must wake node 0's runner (the application's kick) and
+// then node 1's (the fabric delivery). The other rounds send after a delay
+// that sweeps 0–100 µs, so sends also land while a runner spins, announces
+// its park or re-checks for work — the window a missing re-check loses. The
+// park timeout is 10 s, so a lost wake cannot hide behind it: the round
+// misses its receive deadline instead. A runner is parked while its
+// idle_parks() runs one ahead of its kicks(), since kicks() counts exactly
+// the parks that ended in a wake.
+//
+// 10 000 rounds take well under a second on an idle host. Beside a busy
+// loop on every core each park first spends its spin budget yielding to
+// the busy loop, so the rounds stop at a 20 s budget instead (at least 50
+// run either way).
+TEST(Cluster, ParkThenSendNeverLosesAWake) {
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 64;
+  options.comm.buffer_count = 16;
+  options.comm.max_endpoints = 4;
+  options.max_idle_park_ns = 10'000'000'000;
+  auto cluster_or = Cluster::Create(options);
+  ASSERT_TRUE(cluster_or.ok());
+  auto cluster = std::move(cluster_or).value();
+  cluster->Start();
+
+  Domain& a = cluster->domain(0);
+  Domain& b = cluster->domain(1);
+  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 4});
+  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 4});
+  ASSERT_TRUE(rx.ok() && tx.ok());
+  auto posted = b.AllocateBuffer();
+  auto msg = a.AllocateBuffer();
+  ASSERT_TRUE(posted.ok() && msg.ok());
+  ASSERT_TRUE(rx->PostBufferUnlocked(*posted).ok());
+
+  const auto parked = [&](NodeId n) {
+    const std::uint64_t parks = cluster->runner(n).idle_parks();
+    return parks == cluster->runner(n).kicks() + 1;
+  };
+  const auto within = [](TimeNs deadline) { return RealClock::Instance().NowNs() < deadline; };
+  constexpr int kRounds = 10'000;
+  constexpr int kMinRounds = 50;
+  constexpr TimeNs kBudgetNs = 20'000'000'000;
+  constexpr TimeNs kRoundDeadlineNs = 5'000'000'000;  // half the park timeout
+  const TimeNs budget_end = RealClock::Instance().NowNs() + kBudgetNs;
+  int rounds = 0;
+  int parked_rounds = 0;
+  for (; rounds < kRounds && (rounds < kMinRounds || within(budget_end)); ++rounds) {
+    const int round = rounds;
+    TimeNs deadline = RealClock::Instance().NowNs() + kRoundDeadlineNs;
+    if (round % 4 == 0) {
+      while (!(parked(0) && parked(1)) && within(deadline)) {
+        std::this_thread::yield();
+      }
+      ASSERT_TRUE(parked(0) && parked(1)) << "runners never parked, round " << round;
+      ++parked_rounds;
+    } else {
+      const TimeNs delay = static_cast<TimeNs>((static_cast<std::uint64_t>(round) * 2654435761u) %
+                                               100'000);
+      const TimeNs send_at = RealClock::Instance().NowNs() + delay;
+      while (within(send_at)) {
+      }
+    }
+
+    *msg->As<std::uint32_t>() = static_cast<std::uint32_t>(round);
+    ASSERT_TRUE(tx->SendUnlocked(*msg, rx->address()).ok());
+    deadline = RealClock::Instance().NowNs() + kRoundDeadlineNs;
+    Result<MessageBuffer> got = rx->ReceiveUnlocked();
+    while (!got.ok() && within(deadline)) {
+      std::this_thread::yield();
+      got = rx->ReceiveUnlocked();
+    }
+    ASSERT_TRUE(got.ok()) << "lost wake: round " << round << " never arrived";
+    EXPECT_EQ(*got->As<std::uint32_t>(), static_cast<std::uint32_t>(round));
+    ASSERT_TRUE(rx->PostBufferUnlocked(*got).ok());
+    auto back = PollUntilOk([&] { return tx->ReclaimUnlocked(); });
+    ASSERT_TRUE(back.ok());
+    msg = back;
+  }
+  cluster->Stop();
+  RecordProperty("rounds", rounds);
+  // Each parked round woke each runner out of a park.
+  EXPECT_GE(cluster->runner(0).kicks(), static_cast<std::uint64_t>(parked_rounds));
+  EXPECT_GE(cluster->runner(1).kicks(), static_cast<std::uint64_t>(parked_rounds));
+  EXPECT_EQ(rx->DropCount(), 0u);
+}
+
 }  // namespace
 }  // namespace flipc

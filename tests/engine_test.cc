@@ -8,7 +8,9 @@
 
 #include "src/engine/messaging_engine.h"
 #include "src/engine/sim_engine_driver.h"
+#include "src/flipc/domain.h"
 #include "src/shm/comm_buffer.h"
+#include "src/shm/telemetry_audit.h"
 #include "src/simnet/des.h"
 #include "src/simnet/fabric.h"
 #include "src/simnet/link_model.h"
@@ -700,6 +702,182 @@ TEST_F(EngineTest, DeadlineMissAndServiceGapRecorded) {
   // deadline: exactly one miss, gap == the wait.
   EXPECT_EQ(comm_[0]->telemetry(tx).deadline_misses.Read(), 1u);
   EXPECT_EQ(comm_[0]->telemetry(tx).max_service_gap_ns.Read(), 200'000u);
+}
+
+
+// ------------------------------ Back-pressure -------------------------------
+
+// Records the sequence number of every packet its engine polls.
+class SeqRecordingWire final : public simnet::Wire {
+ public:
+  explicit SeqRecordingWire(simnet::Wire& inner) : inner_(inner) {}
+  Status Send(simnet::Packet packet) override { return inner_.Send(std::move(packet)); }
+  bool Poll(simnet::Packet* out) override {
+    const bool got = inner_.Poll(out);
+    if (got) {
+      seqs.push_back(out->seq);
+    }
+    return got;
+  }
+  std::size_t PendingCount() const override { return inner_.PendingCount(); }
+  NodeId node() const override { return inner_.node(); }
+
+  std::vector<std::uint64_t> seqs;
+
+ private:
+  simnet::Wire& inner_;
+};
+
+// Two domains on a 2-node ThreadFabric; node 0 has released `messages`
+// numbered sends to node 1, which has posted a buffer for each. The
+// consumer's wire records the packet sequence numbers it polls.
+struct BackPressureRig {
+  static constexpr std::uint32_t kDepth = simnet::ThreadFabric::kRingDepth;
+  static constexpr std::uint32_t kMessages = kDepth + 8;
+
+  BackPressureRig() {
+    for (NodeId n = 0; n < 2; ++n) {
+      Domain::Options options;
+      options.comm.message_size = 64;
+      options.comm.buffer_count = 256;
+      options.comm.max_endpoints = 8;
+      options.node = n;
+      auto domain = Domain::Create(options);
+      EXPECT_TRUE(domain.ok());
+      domains[n] = std::move(*domain);
+    }
+    auto tx_or = domains[0]->CreateEndpoint({.type = EndpointType::kSend, .queue_depth = 128});
+    auto rx_or = domains[1]->CreateEndpoint({.type = EndpointType::kReceive, .queue_depth = 128});
+    EXPECT_TRUE(tx_or.ok());
+    EXPECT_TRUE(rx_or.ok());
+    tx = std::make_unique<Endpoint>(std::move(*tx_or));
+    rx = std::make_unique<Endpoint>(std::move(*rx_or));
+    for (std::uint32_t i = 0; i < kMessages; ++i) {
+      auto posted = domains[1]->AllocateBuffer();
+      EXPECT_TRUE(posted.ok());
+      EXPECT_TRUE(rx->PostBufferUnlocked(*posted).ok());
+      auto msg = domains[0]->AllocateBuffer();
+      EXPECT_TRUE(msg.ok());
+      EXPECT_TRUE(msg->Write(&i, sizeof(i)));
+      EXPECT_TRUE(tx->SendUnlocked(*msg, rx->address()).ok());
+    }
+    consumer = std::make_unique<MessagingEngine>(domains[1]->comm(), consumer_wire,
+                                                 EngineOptions());
+  }
+
+  // Steps `engine` until it reports no work; returns the steps that did.
+  static std::uint32_t StepUntilIdle(MessagingEngine& engine) {
+    std::uint32_t steps = 0;
+    while (engine.Step()) {
+      ++steps;
+    }
+    return steps;
+  }
+
+  // Drains the ring, lets the sender finish and checks that every message
+  // arrived once, in order, with no sequence number burned.
+  void FinishAndCheck(MessagingEngine& sender) {
+    StepUntilIdle(*consumer);
+    EXPECT_TRUE(sender.HasWork());
+    StepUntilIdle(sender);
+    StepUntilIdle(*consumer);
+    EXPECT_FALSE(sender.HasWork());
+    EXPECT_EQ(sender.stats().messages_sent, kMessages);
+    EXPECT_EQ(consumer->stats().messages_delivered, kMessages);
+    EXPECT_EQ(consumer->stats().drops_no_buffer, 0u);
+    EXPECT_EQ(rx->DropCount(), 0u);
+    ASSERT_EQ(consumer_wire.seqs.size(), kMessages);
+    for (std::uint32_t i = 0; i < kMessages; ++i) {
+      EXPECT_EQ(consumer_wire.seqs[i], i);
+      auto got = rx->ReceiveUnlocked();
+      ASSERT_TRUE(got.ok()) << i;
+      std::uint32_t value = 0;
+      ASSERT_TRUE(got->Read(&value, sizeof(value)));
+      EXPECT_EQ(value, i);
+      ASSERT_TRUE(tx->ReclaimUnlocked().ok()) << i;
+    }
+    EXPECT_EQ(domains[0]->comm().telemetry(tx->index()).engine_transmits.Read(), kMessages);
+    std::vector<shm::EndpointIdentityFailure> failures;
+    EXPECT_EQ(shm::AuditTelemetryIdentities(domains[0]->comm(), &failures), 0);
+    EXPECT_EQ(shm::AuditTelemetryIdentities(domains[1]->comm(), &failures), 0);
+    for (const auto& failure : failures) {
+      ADD_FAILURE() << "endpoint " << failure.endpoint << ": " << failure.identity;
+    }
+  }
+
+  simnet::ThreadFabric fabric{2};
+  std::unique_ptr<Domain> domains[2];
+  std::unique_ptr<Endpoint> tx;
+  std::unique_ptr<Endpoint> rx;
+  SeqRecordingWire consumer_wire{fabric.wire(1)};
+  std::unique_ptr<MessagingEngine> consumer;
+};
+
+// The real-thread wire back-pressures once its consumer stops draining.
+// With the consumer engine never stepped, the sender transmits one ring's
+// worth and then stalls: Step() reports no work, nothing drops, and the
+// held-back messages count nowhere — no plan, no transmit telemetry, no
+// packet sequence number, no plan-cost sample — and are not HasWork() until
+// the ring drains. Stepping the consumer then lets every message through,
+// in order, and conservation holds.
+TEST(EngineBackPressure, FullRingStallsTheSenderWithoutDrops) {
+  constexpr std::uint32_t kDepth = BackPressureRig::kDepth;
+  BackPressureRig rig;
+  MessagingEngine sender(rig.domains[0]->comm(), rig.fabric.wire(0), EngineOptions());
+  EngineTelemetry telemetry;
+  sender.SetTelemetry(&telemetry);
+
+  EXPECT_EQ(BackPressureRig::StepUntilIdle(sender), kDepth);
+  EXPECT_EQ(sender.stats().messages_sent, kDepth);
+  EXPECT_EQ(sender.stats().work_units, kDepth);
+  EXPECT_EQ(sender.stats().transmit_batches, kDepth);
+  EXPECT_EQ(sender.stats().drops_bad_address, 0u);
+  EXPECT_FALSE(sender.Step());  // Still full: no work done, none lost.
+  EXPECT_EQ(sender.stats().work_units, kDepth);
+  EXPECT_EQ(telemetry.plan_cost_ns.total(), kDepth);
+  // The other 8 wait at the queue head, but they are not work until the
+  // ring drains: a runner parks here, and the drain wakes it.
+  EXPECT_FALSE(sender.HasWork());
+  EXPECT_EQ(rig.tx->ProcessedCount(), kDepth);
+  EXPECT_EQ(rig.domains[0]->comm().telemetry(rig.tx->index()).engine_transmits.Read(), kDepth);
+  std::vector<shm::EndpointIdentityFailure> failures;
+  EXPECT_EQ(shm::AuditTelemetryIdentities(rig.domains[0]->comm(), &failures), 0);
+
+  rig.FinishAndCheck(sender);
+}
+
+// A wire that cannot report a full ring ahead of the plan (a decorator
+// that does not forward BackPressured) refuses at commit instead. The
+// refused unit still counts nothing, and the message stays at its queue
+// head; only HasWork() keeps reporting it, as the engine cannot tell.
+TEST(EngineBackPressure, RefusedAtCommitCountsNothing) {
+  constexpr std::uint32_t kDepth = BackPressureRig::kDepth;
+  BackPressureRig rig;
+  SeqRecordingWire sender_wire(rig.fabric.wire(0));
+  MessagingEngine sender(rig.domains[0]->comm(), sender_wire, EngineOptions());
+  EngineTelemetry telemetry;
+  sender.SetTelemetry(&telemetry);
+
+  EXPECT_EQ(BackPressureRig::StepUntilIdle(sender), kDepth);
+  EXPECT_FALSE(sender.Step());
+  EXPECT_TRUE(sender.HasWork());
+  EXPECT_EQ(sender.stats().messages_sent, kDepth);
+  EXPECT_EQ(sender.stats().work_units, kDepth);
+  EXPECT_EQ(sender.stats().transmit_batches, kDepth);
+  EXPECT_EQ(telemetry.plan_cost_ns.total(), kDepth);
+  EXPECT_EQ(rig.tx->ProcessedCount(), kDepth);
+  EXPECT_EQ(rig.domains[0]->comm().telemetry(rig.tx->index()).engine_transmits.Read(), kDepth);
+
+  rig.FinishAndCheck(sender);
+}
+
+// Step() plans once: an idle Step() runs one outbound plan, where the
+// commit used to plan (and sweep) a second time.
+TEST_F(EngineTest, IdleStepPlansOnce) {
+  const std::uint64_t plans = engine_[0]->stats().outbound_plans;
+  EXPECT_FALSE(engine_[0]->Step());
+  EXPECT_EQ(engine_[0]->stats().outbound_plans, plans + 1);
+  EXPECT_EQ(engine_[0]->stats().sweeps_no_candidate, 1u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 // Chrome trace-event JSON (failure_postmortem_<test>_<ring>.json) for
 // postmortem inspection; CI uploads them as artifacts.
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -84,9 +85,11 @@ class ScopedPostmortem {
 
 // Returns a STOPPED cluster so callers can attach TraceRings (a plain
 // pointer store, legal only before the engine threads run) and then Start.
-std::unique_ptr<Cluster> MakeStoppedCluster(std::uint32_t buffer_count = 256) {
+std::unique_ptr<Cluster> MakeStoppedCluster(std::uint32_t buffer_count = 256,
+                                            DurationNs max_idle_park_ns = 200'000) {
   Cluster::Options options;
   options.node_count = 2;
+  options.max_idle_park_ns = max_idle_park_ns;
   options.comm.message_size = 128;
   options.comm.buffer_count = buffer_count;
   options.comm.max_endpoints = 16;
@@ -103,7 +106,16 @@ std::unique_ptr<Cluster> MakeStoppedCluster(std::uint32_t buffer_count = 256) {
 // The loss budget is 0. KillEngine stops the runner, whose loop commits
 // each planned unit inside the same Step() before it checks for stop, so
 // the dead engine holds no packet: everything sent while it is down waits
-// in the wire inbox or behind the queue cursors, which outlive it.
+// in the wire ring or behind the queue cursors, which outlive it.
+//
+// The wire is bounded: while the victim is dead, its inbound ring fills
+// and back-pressures the sender, so the rest of the dead window's sends
+// wait behind the send queue's cursors and the sender's engine, with
+// nothing it can do, parks. The app therefore sends the dead window
+// without waiting for reclaims, and the restarted victim must drain the
+// full ring and wake the sender for the queued rest. Parks last up to
+// 10 s here, so only that wake (not a park timeout) can finish the flood
+// in time.
 TEST(FailureScenarios, KillRestartEngineMidFlood) {
   // TraceRings are single-writer: one flight recorder per engine, never
   // shared. Declared before the postmortem, whose destructor reads it.
@@ -113,8 +125,11 @@ TEST(FailureScenarios, KillRestartEngineMidFlood) {
   constexpr std::uint64_t kMessages = 600;
   constexpr std::uint64_t kKillAt = 150;
   constexpr std::uint64_t kRestartAt = 300;
+  static_assert(kRestartAt - kKillAt > simnet::ThreadFabric::kRingDepth,
+                "the dead window must overflow the victim's ring");
 
-  auto cluster = MakeStoppedCluster(/*buffer_count=*/1024);
+  auto cluster = MakeStoppedCluster(/*buffer_count=*/1024,
+                                    /*max_idle_park_ns=*/10'000'000'000);
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
   cluster->engine(1).SetTrace(&rx_trace);
@@ -132,7 +147,7 @@ TEST(FailureScenarios, KillRestartEngineMidFlood) {
     ASSERT_TRUE(buffer.ok());
     ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
   }
-  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 8});
+  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 256});
   ASSERT_TRUE(tx.ok());
 
   // Receiver thread: drain the endpoint, reposting every buffer, until
@@ -151,27 +166,68 @@ TEST(FailureScenarios, KillRestartEngineMidFlood) {
     }
   });
 
+  const auto send = [&](MessageBuffer& buffer) {
+    return PollUntilOk([&] {
+             const Status s = tx->Send(buffer, rx->address());
+             return s.ok() ? Result<int>(0) : Result<int>(s);
+           }).ok();
+  };
   auto msg = a.AllocateBuffer();
   ASSERT_TRUE(msg.ok());
-  for (std::uint64_t i = 0; i < kMessages; ++i) {
-    if (i == kKillAt) {
-      ASSERT_TRUE(cluster->KillEngine(1));
-      ASSERT_FALSE(cluster->engine_alive(1));
-      ASSERT_FALSE(cluster->KillEngine(1));  // already dead
+  for (std::uint64_t i = 0; i < kKillAt; ++i) {
+    ASSERT_TRUE(send(*msg));
+    msg = *PollUntilOk([&] { return tx->Reclaim(); });
+  }
+
+  // Kill mid-flow: the ring may still hold messages the victim never saw.
+  ASSERT_TRUE(cluster->KillEngine(1));
+  ASSERT_FALSE(cluster->engine_alive(1));
+  ASSERT_FALSE(cluster->KillEngine(1));  // already dead
+  const std::uint64_t delivered_at_kill = rx->ProcessedCount();
+  const std::uint64_t parks_at_kill = cluster->runner(0).idle_parks();
+
+  // Dead window: every send takes a fresh buffer, none is reclaimed.
+  ASSERT_TRUE(send(*msg));
+  for (std::uint64_t i = kKillAt + 1; i < kRestartAt; ++i) {
+    auto buffer = a.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(send(*buffer));
+  }
+
+  // The sender fills the victim's ring and stops there: the rest of the
+  // window stays queued, and the sender's engine parks instead of spinning
+  // on the full ring.
+  const std::uint64_t ring_full_at = delivered_at_kill + simnet::ThreadFabric::kRingDepth;
+  // Waits up to `seconds`, less than one park, for `done`.
+  const auto wait_until = [](int seconds, auto&& done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    if (i == kRestartAt) {
-      ASSERT_TRUE(cluster->RestartEngine(1));
-      ASSERT_TRUE(cluster->engine_alive(1));
-      ASSERT_FALSE(cluster->RestartEngine(1));  // already alive
-      // The resurrected engine is deliberately NOT re-traced: its runner is
-      // already live, and SetTrace is a plain store (pre-Start only). The
-      // postmortem keeps the victim's pre-kill events, which is what a
-      // crash investigation has anyway.
-    }
-    ASSERT_TRUE(PollUntilOk([&] {
-                  const Status s = tx->Send(*msg, rx->address());
-                  return s.ok() ? Result<int>(0) : Result<int>(s);
-                }).ok());
+    return done();
+  };
+  ASSERT_TRUE(wait_until(8, [&] { return tx->ProcessedCount() >= ring_full_at; }));
+  ASSERT_EQ(tx->ProcessedCount(), ring_full_at);
+  EXPECT_TRUE(wait_until(8, [&] { return cluster->runner(0).idle_parks() > parks_at_kill; }));
+  EXPECT_EQ(tx->ProcessedCount(), ring_full_at);  // Still back-pressured.
+  EXPECT_EQ(rx->ProcessedCount(), delivered_at_kill);
+
+  ASSERT_TRUE(cluster->RestartEngine(1));
+  ASSERT_TRUE(cluster->engine_alive(1));
+  ASSERT_FALSE(cluster->RestartEngine(1));  // already alive
+  // The resurrected engine is deliberately NOT re-traced: its runner is
+  // already live, and SetTrace is a plain store (pre-Start only). The
+  // postmortem keeps the victim's pre-kill events, which is what a crash
+  // investigation has anyway.
+
+  // The victim drains the ring and wakes the sender, which sends the
+  // queued rest well inside one park; every window buffer comes back.
+  ASSERT_TRUE(wait_until(8, [&] { return tx->ProcessedCount() == kRestartAt; }));
+  for (std::uint64_t i = kKillAt; i < kRestartAt; ++i) {
+    msg = *PollUntilOk([&] { return tx->Reclaim(); });
+  }
+  for (std::uint64_t i = kRestartAt; i < kMessages; ++i) {
+    ASSERT_TRUE(send(*msg));
     msg = *PollUntilOk([&] { return tx->Reclaim(); });
   }
 

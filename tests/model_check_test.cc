@@ -14,14 +14,16 @@
 // (tests/generated_model_schedules.h — see tools/flipc_static_audit
 // --emit-schedules): when the wait-free protocol changes, the drift ctest
 // regenerates the seeds rather than this file silently model-checking a
-// stale operation mix. The drop-counter tests at the bottom are documented
-// extras — the structure is a counter, not one of the generated rings.
+// stale operation mix. The drop-counter and park/wake tests at the bottom
+// are documented extras — a counter and a two-word handshake, not one of
+// the generated rings.
 #include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/locks.h"
 #include "src/waitfree/boundary_check.h"
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
@@ -397,6 +399,136 @@ TEST(ModelCheck, DropCounterResetStorm) {
         dropped = 0;
         reclaimed = 0;
       });
+}
+
+// ---- Park/wake handshake: an idle runner parks vs a waker --------------------
+//
+// Hand-written extra: the Dekker pair behind EngineRunner's idle park
+// (ParkWakeFlag, src/base/locks.h). The runner announces the park, then
+// re-checks for work and sleeps only if the re-check finds none; a waker
+// publishes work, then wakes the runner if it sees the announce. In the
+// real runner the announce-to-wait span and the waker's wake both hold the
+// waker's mutex, so a waker that saw the announce always reaches the
+// runner's wait: here a wake is delivered exactly when WakeNeeded() is
+// true. A LOST wake is a final state where the runner sleeps and some
+// published work was followed by no delivered wake — the runner would
+// sleep out a whole park timeout with that work pending.
+//
+// The waker side runs two publish/wake rounds (an application send and a
+// fabric delivery). Mutants of the protocol must lose a wake in some
+// schedule, which shows the enumeration can see one.
+enum class ParkProtocol {
+  kAsBuilt,                // announce, re-check, sleep | publish, wake
+  kNoRecheck,              // the runner sleeps without re-checking
+  kRecheckBeforeAnnounce,  // the runner checks for work, then announces
+  kWakeBeforePublish,      // the waker checks for a parked runner first
+};
+
+class ParkWakeModel {
+ public:
+  explicit ParkWakeModel(ParkProtocol protocol) : protocol_(protocol) {}
+
+  void Reset() {
+    flag_ = std::make_unique<ParkWakeFlag>();
+    work_ = false;
+    saw_work_ = false;
+    asleep_ = false;
+    unannounced_ = false;
+  }
+
+  std::vector<std::function<void()>> RunnerOps() {
+    std::vector<std::function<void()>> ops;
+    if (protocol_ == ParkProtocol::kRecheckBeforeAnnounce) {
+      ops.emplace_back([this] { saw_work_ = work_; });
+      ops.emplace_back([this] {
+        flag_->AnnouncePark();
+        SleepUnlessWork();
+      });
+    } else {
+      ops.emplace_back([this] { flag_->AnnouncePark(); });
+      ops.emplace_back([this] {
+        saw_work_ = protocol_ != ParkProtocol::kNoRecheck && work_;
+        SleepUnlessWork();
+      });
+    }
+    return ops;
+  }
+
+  std::vector<std::function<void()>> WakerOps() {
+    std::vector<std::function<void()>> ops;
+    for (int round = 0; round < 2; ++round) {
+      const auto publish = [this] {
+        work_ = true;
+        unannounced_ = true;
+      };
+      const auto wake = [this] {
+        if (flag_->WakeNeeded()) {
+          unannounced_ = false;  // Delivered: the runner leaves its wait.
+        }
+      };
+      if (protocol_ == ParkProtocol::kWakeBeforePublish) {
+        ops.emplace_back(wake);
+        ops.emplace_back(publish);
+      } else {
+        ops.emplace_back(publish);
+        ops.emplace_back(wake);
+      }
+    }
+    return ops;
+  }
+
+  bool LostWake() const { return asleep_ && unannounced_; }
+
+ private:
+  void SleepUnlessWork() {
+    if (saw_work_) {
+      flag_->ClearPark();  // Work found: back to running, no sleep.
+    } else {
+      asleep_ = true;
+    }
+  }
+
+  ParkProtocol protocol_;
+  std::unique_ptr<ParkWakeFlag> flag_;
+  bool work_ = false;      // published by the waker
+  bool saw_work_ = false;  // the runner's re-check result
+  bool asleep_ = false;    // the runner committed to sleep
+  bool unannounced_ = false;  // work published since the last delivered wake
+};
+
+// Returns how many of the complete schedules lose a wake.
+int LostWakeSchedules(ParkProtocol protocol, int* schedules) {
+  ParkWakeModel model(protocol);
+  int lost = 0;
+  *schedules = 0;
+  const auto runner_ops = model.RunnerOps();
+  const auto waker_ops = model.WakerOps();
+  ForAllInterleavings(
+      waker_ops, runner_ops,
+      [&](const std::string& schedule) {
+        if (schedule.size() == runner_ops.size() + waker_ops.size()) {
+          ++*schedules;
+          if (model.LostWake()) {
+            ++lost;
+          }
+        }
+      },
+      [&] { model.Reset(); });
+  return lost;
+}
+
+TEST(ModelCheck, ParkWakeNeverLosesAWake) {
+  int schedules = 0;
+  EXPECT_EQ(LostWakeSchedules(ParkProtocol::kAsBuilt, &schedules), 0);
+  // C(6,2) = 15 schedules: two runner steps among four waker steps.
+  EXPECT_EQ(schedules, 15);
+}
+
+TEST(ModelCheck, ParkWakeMutantsLoseWakes) {
+  int schedules = 0;
+  EXPECT_GT(LostWakeSchedules(ParkProtocol::kNoRecheck, &schedules), 0);
+  EXPECT_GT(LostWakeSchedules(ParkProtocol::kRecheckBeforeAnnounce, &schedules), 0);
+  EXPECT_GT(LostWakeSchedules(ParkProtocol::kWakeBeforePublish, &schedules), 0);
 }
 
 }  // namespace

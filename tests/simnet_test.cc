@@ -393,5 +393,132 @@ TEST(ThreadFabric, DeliveryCallbackFires) {
   EXPECT_EQ(calls, 2);
 }
 
+// Per-(src,dst) FIFO with interleaved sources: each source has its own ring
+// into node 1, so the poll may interleave sources but never reorders one.
+TEST(ThreadFabric, PerPairFifoWithInterleavedSources) {
+  ThreadFabric fabric(3);
+  constexpr std::uint64_t kPerSource = 40;
+  for (std::uint64_t i = 0; i < kPerSource; ++i) {
+    for (NodeId src : {0u, 2u}) {
+      Packet p = MakePacket(1, 16, i);
+      p.payload.data()[0] = static_cast<std::byte>(src);
+      p.payload.data()[15] = static_cast<std::byte>(i);
+      ASSERT_TRUE(fabric.wire(src).Send(std::move(p)).ok());
+    }
+    // Node 1 talks back to node 0 meanwhile; rings are per pair.
+    ASSERT_TRUE(fabric.wire(1).Send(MakePacket(0, 4, i)).ok());
+  }
+  EXPECT_EQ(fabric.wire(1).PendingCount(), 2 * kPerSource);
+  EXPECT_EQ(fabric.wire(0).PendingCount(), kPerSource);
+
+  std::uint64_t next[3] = {0, 0, 0};
+  Packet p;
+  while (fabric.wire(1).Poll(&p)) {
+    ASSERT_TRUE(p.src_node == 0 || p.src_node == 2) << p.src_node;
+    EXPECT_EQ(p.dst_node, 1u);
+    EXPECT_EQ(p.seq, next[p.src_node]) << "source " << p.src_node;
+    ASSERT_EQ(p.payload.size(), 16u);
+    EXPECT_EQ(p.payload.data()[0], static_cast<std::byte>(p.src_node));
+    EXPECT_EQ(p.payload.data()[15], static_cast<std::byte>(p.seq));
+    ++next[p.src_node];
+  }
+  EXPECT_EQ(next[0], kPerSource);
+  EXPECT_EQ(next[2], kPerSource);
+  for (std::uint64_t i = 0; i < kPerSource; ++i) {
+    ASSERT_TRUE(fabric.wire(0).Poll(&p));
+    EXPECT_EQ(p.src_node, 1u);
+    EXPECT_EQ(p.seq, i);
+  }
+  EXPECT_FALSE(fabric.wire(0).Poll(&p));
+  EXPECT_EQ(fabric.wire(2).PendingCount(), 0u);
+}
+
+// A full ring back-pressures: the refused send reports kUnavailable and
+// delivers nothing (no frame, no callback); one poll frees one slot.
+TEST(ThreadFabric, FullRingRefusesWithoutDelivering) {
+  ThreadFabric fabric(2);
+  int delivered = 0;
+  fabric.SetDeliveryCallback(1, [&] { ++delivered; });
+  for (std::uint64_t i = 0; i < ThreadFabric::kRingDepth; ++i) {
+    ASSERT_TRUE(fabric.wire(0).Send(MakePacket(1, 8, i)).ok()) << i;
+  }
+  const Status refused = fabric.wire(0).Send(MakePacket(1, 8, 999));
+  EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(delivered, static_cast<int>(ThreadFabric::kRingDepth));
+  EXPECT_EQ(fabric.wire(1).PendingCount(), ThreadFabric::kRingDepth);
+  // Other pairs are unaffected by the full one.
+  EXPECT_TRUE(fabric.wire(1).Send(MakePacket(0, 8)).ok());
+
+  Packet p;
+  ASSERT_TRUE(fabric.wire(1).Poll(&p));
+  EXPECT_EQ(p.seq, 0u);
+  ASSERT_TRUE(fabric.wire(0).Send(MakePacket(1, 8, ThreadFabric::kRingDepth)).ok());
+  for (std::uint64_t i = 1; i <= ThreadFabric::kRingDepth; ++i) {
+    ASSERT_TRUE(fabric.wire(1).Poll(&p));
+    EXPECT_EQ(p.seq, i);  // The refused packet never entered the ring.
+  }
+  EXPECT_FALSE(fabric.wire(1).Poll(&p));
+}
+
+// A payload larger than the fabric's frame is a final error, not
+// back-pressure; a fabric sized for bigger messages carries it.
+TEST(ThreadFabric, FrameSizeBoundsThePayload) {
+  ThreadFabric small(2);
+  EXPECT_TRUE(small.wire(0).Send(MakePacket(1, ThreadFabric::kDefaultFrameBytes)).ok());
+  EXPECT_EQ(small.wire(0).Send(MakePacket(1, ThreadFabric::kDefaultFrameBytes + 1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(small.wire(0).Send(MakePacket(7, 8)).code(), StatusCode::kNotFound);
+
+  ThreadFabric large(2, 1024);
+  Packet big = MakePacket(1, 1016);
+  big.payload.data()[1015] = std::byte{0x5a};
+  ASSERT_TRUE(large.wire(0).Send(std::move(big)).ok());
+  Packet p;
+  ASSERT_TRUE(large.wire(1).Poll(&p));
+  ASSERT_EQ(p.payload.size(), 1016u);
+  EXPECT_EQ(p.payload.data()[1015], std::byte{0x5a});
+}
+
+// ------------------------------- PacketPayload -------------------------------
+
+TEST(PacketPayload, InlineCopiesAndMovesKeepTheBytes) {
+  PacketPayload a;
+  EXPECT_TRUE(a.empty());
+  a.resize(3);
+  EXPECT_EQ(a.data()[2], std::byte{0});  // resize zero-fills new bytes
+  const std::byte bytes[4] = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
+  a.assign(bytes, bytes + 4);
+  PacketPayload b(a);
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.data()[3], std::byte{4});
+  EXPECT_NE(b.data(), a.data());
+  PacketPayload c(std::move(b));
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.data()[0], std::byte{1});
+  c.resize(2);
+  c.resize(4);
+  EXPECT_EQ(c.data()[1], std::byte{2});
+  EXPECT_EQ(c.data()[2], std::byte{0});
+}
+
+TEST(PacketPayload, LargePayloadFallsBackToTheHeap) {
+  PacketPayload a;
+  a.resize(10);
+  a.data()[9] = std::byte{7};
+  a.resize(PacketPayload::kInlineCapacity + 100);  // grows onto the heap
+  EXPECT_EQ(a.data()[9], std::byte{7});
+  EXPECT_EQ(a.data()[PacketPayload::kInlineCapacity + 99], std::byte{0});
+  const std::byte* heap = a.data();
+  PacketPayload b(std::move(a));
+  EXPECT_EQ(b.data(), heap);  // a heap buffer moves by pointer
+  EXPECT_EQ(b.size(), PacketPayload::kInlineCapacity + 100);
+  PacketPayload c;
+  c = b;
+  EXPECT_EQ(c.size(), b.size());
+  EXPECT_EQ(c.data()[9], std::byte{7});
+  c = PacketPayload();
+  EXPECT_TRUE(c.empty());
+}
+
 }  // namespace
 }  // namespace flipc::simnet

@@ -1,9 +1,11 @@
 // Tests for the paper's wait-free structures: the dual-location drop
-// counter and the three-cursor endpoint buffer queue (Figure 3). Includes
+// counter, the three-cursor endpoint buffer queue (Figure 3), and the
+// real-thread wire's SPSC frame ring. Includes
 // real-concurrency stress tests that pit an "application" thread against an
 // "engine" thread, and parameterized property sweeps over queue capacities
 // and randomized interleavings.
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "src/waitfree/drop_counter.h"
 #include "src/waitfree/msg_state.h"
 #include "src/waitfree/single_writer.h"
+#include "src/waitfree/spsc_ring.h"
 #include "tests/poll_backoff.h"
 
 namespace flipc::waitfree {
@@ -332,6 +335,88 @@ TEST(QueueCursors, WriterLinesDoNotOverlap) {
   const auto app_line = reinterpret_cast<std::uintptr_t>(&cursors.release_count);
   const auto engine_line = reinterpret_cast<std::uintptr_t>(&cursors.process_count);
   EXPECT_GE(engine_line - app_line, kCacheLineSize);
+}
+
+// ------------------------------- SpscFrameRing ------------------------------
+
+// FIFO across many laps, with the ring refusing (not overwriting) a frame
+// whenever it is full.
+TEST(SpscFrameRing, FifoAcrossLapsRefusesWhenFull) {
+  InlineSpscFrameRing<4, 16> ring;
+  SpscFrameRingView& view = ring.view();
+  EXPECT_EQ(view.Front(), nullptr);
+  std::uint32_t next_in = 0;
+  std::uint32_t next_out = 0;
+  for (int round = 0; round < 12; ++round) {
+    while (std::byte* frame = view.TryReserve()) {
+      std::memcpy(frame, &next_in, sizeof(next_in));
+      view.Commit();
+      ++next_in;
+    }
+    ASSERT_EQ(next_in - next_out, view.capacity()) << "round " << round;
+    EXPECT_EQ(view.PendingCount(), view.capacity());
+    EXPECT_EQ(view.TryReserve(), nullptr);  // Still full: refused again.
+    const int drain = 1 + round % 4;
+    for (int i = 0; i < drain; ++i) {
+      const std::byte* frame = view.Front();
+      ASSERT_NE(frame, nullptr);
+      std::uint32_t value = 0;
+      std::memcpy(&value, frame, sizeof(value));
+      EXPECT_EQ(value, next_out);
+      view.Pop();
+      ++next_out;
+    }
+  }
+  while (const std::byte* frame = view.Front()) {
+    std::uint32_t value = 0;
+    std::memcpy(&value, frame, sizeof(value));
+    EXPECT_EQ(value, next_out++);
+    view.Pop();
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(view.PendingCount(), 0u);
+}
+
+// One producer engine and one consumer engine on their own threads: every
+// frame arrives exactly once, in order, with its bytes intact.
+TEST(SpscFrameRing, TwoThreadFifo) {
+  InlineSpscFrameRing<8, 64> ring;
+  SpscFrameRingView& view = ring.view();
+  constexpr std::uint64_t kFrames = 100000;
+
+  std::thread producer([&] {
+    flipc::test_util::PollBackoff backoff;
+    for (std::uint64_t i = 0; i < kFrames;) {
+      std::byte* frame = view.TryReserve();
+      if (frame == nullptr) {
+        backoff.Idle();
+        continue;
+      }
+      backoff.Reset();
+      const std::uint64_t words[2] = {i, ~i};
+      std::memcpy(frame, words, sizeof(words));
+      view.Commit();
+      ++i;
+    }
+  });
+
+  flipc::test_util::PollBackoff backoff;
+  for (std::uint64_t i = 0; i < kFrames;) {
+    const std::byte* frame = view.Front();
+    if (frame == nullptr) {
+      backoff.Idle();
+      continue;
+    }
+    backoff.Reset();
+    std::uint64_t words[2] = {0, 0};
+    std::memcpy(words, frame, sizeof(words));
+    view.Pop();
+    ASSERT_EQ(words[0], i);
+    ASSERT_EQ(words[1], ~i);
+    ++i;
+  }
+  producer.join();
+  EXPECT_EQ(view.Front(), nullptr);
 }
 
 }  // namespace

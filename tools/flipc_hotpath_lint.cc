@@ -8,7 +8,7 @@
 //     member TU) and fails on undefined references to:
 //       * allocation entry points (operator new/delete, malloc family) —
 //         unless the entry's class is `nolock`, which permits allocation
-//         (cold-path construction, simulated-wire payload) but still denies
+//         (cold-path construction, the DES event closures) but still denies
 //         locks and blocking calls;
 //       * pthread locking (pthread_mutex_*, rwlock, spinlock, condvars,
 //         semaphores) — what std::mutex and friends lower to;
@@ -26,7 +26,7 @@
 //     outside src/waitfree/ and src/base/locks.h except for files in the
 //     curated allowlist (tools/hotpath_lint_allowlist.txt, each with a
 //     reason), and `memory_order_seq_cst` is forbidden everywhere except
-//     the Peterson lock's documented whitelist in src/base/locks.h (exactly
+//     the documented whitelist in src/base/locks.h (exactly
 //     kExpectedSeqCstLines lines — a new seq_cst access anywhere, including
 //     locks.h, must be argued past this lint).
 //
@@ -342,10 +342,17 @@ int RunSymbolPass(const std::string& manifest_path) {
 
 // ---- Source pass ------------------------------------------------------------
 
-// The Peterson lock's documented whitelist: exactly this many source lines
-// in src/base/locks.h may name memory_order_seq_cst (the two stores and two
-// loads of the classic algorithm). See the comment above PetersonLock.
-constexpr int kExpectedSeqCstLines = 4;
+// The documented seq_cst whitelist: exactly this many source lines in
+// src/base/locks.h may name memory_order_seq_cst —
+//   * the Peterson lock's two stores and two loads (the classic algorithm
+//     needs its store->load order; see the comment above PetersonLock);
+//   * ParkWakeFlag's two fences, the Dekker pair that lets an engine runner
+//     park without losing a wake: the parker stores `parked` then re-checks
+//     for work, the waker publishes work then loads `parked`, and only a
+//     full fence on each side orders a store before a later load of another
+//     location. Each is an explicit atomic_thread_fence, never a
+//     default-ordered access.
+constexpr int kExpectedSeqCstLines = 6;
 
 bool PathContains(const std::string& path, const char* fragment) {
   return path.find(fragment) != std::string::npos;
@@ -486,7 +493,8 @@ int CheckSourceFile(const std::string& path, const std::string& rel_path,
     ++violations;
     if (!quiet) {
       Fail("src/base/locks.h: expected exactly " + std::to_string(kExpectedSeqCstLines) +
-           " memory_order_seq_cst lines (the Peterson whitelist), found " +
+           " memory_order_seq_cst lines (the Peterson lock and the park/wake "
+           "fences), found " +
            std::to_string(seq_cst_lines));
     }
   }

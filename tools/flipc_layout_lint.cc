@@ -141,6 +141,8 @@ int Run() {
        sizeof(kCommBufferHeaderOwnership) / sizeof(FieldOwnership)},
       {"DoorbellCursors", sizeof(waitfree::DoorbellCursors), kDoorbellCursorsOwnership,
        sizeof(kDoorbellCursorsOwnership) / sizeof(FieldOwnership)},
+      {"SpscCursors", sizeof(waitfree::SpscCursors), kSpscCursorsOwnership,
+       sizeof(kSpscCursorsOwnership) / sizeof(FieldOwnership)},
   };
   for (const TableRef& table : tables) {
     LintTable(table);

@@ -123,10 +123,11 @@ int main(int argc, char** argv) {
                 static_cast<std::size_t>(flipc::kCacheLineSize));
   e.out += line;
 
-  // seq_cst is confined to the Peterson lock's four accesses; the count
-  // matches tools/flipc_hotpath_lint.cc (kExpectedSeqCstLines).
+  // seq_cst is confined to the Peterson lock's four accesses and the
+  // park/wake handshake's two fences; the count matches
+  // tools/flipc_hotpath_lint.cc (kExpectedSeqCstLines).
   e.out +=
-      "  \"seq_cst\": {\"file\": \"src/base/locks.h\", \"expected_count\": 4},\n";
+      "  \"seq_cst\": {\"file\": \"src/base/locks.h\", \"expected_count\": 6},\n";
 
   e.ListStart("fields");
   EmitTable(e, flipc::shm::kEndpointRecordOwnership);
@@ -134,6 +135,7 @@ int main(int argc, char** argv) {
   EmitTable(e, flipc::shm::kQueueCursorsOwnership);
   EmitTable(e, flipc::shm::kDoorbellCursorsOwnership);
   EmitTable(e, flipc::shm::kPaddedDropCounterOwnership);
+  EmitTable(e, flipc::shm::kSpscCursorsOwnership);
   EmitTable(e, flipc::shm::kCommBufferHeaderOwnership);
   // Arena cell arrays: no fixed offset, so they live in their own table;
   // checked cells (DeclareOwner'd per region by CommBuffer), never
@@ -197,6 +199,7 @@ int main(int argc, char** argv) {
          std::size(flipc::shm::kDoorbellCursorsOwnership));
     scan(flipc::shm::kPaddedDropCounterOwnership,
          std::size(flipc::shm::kPaddedDropCounterOwnership));
+    scan(flipc::shm::kSpscCursorsOwnership, std::size(flipc::shm::kSpscCursorsOwnership));
     scan(flipc::shm::kCommBufferHeaderOwnership,
          std::size(flipc::shm::kCommBufferHeaderOwnership));
     if (!found) {
