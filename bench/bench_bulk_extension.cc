@@ -58,20 +58,24 @@ double BulkMBps(std::size_t total_bytes, std::uint32_t message_size) {
       sender->Pump();
     }
   });
+  // The receive hook fires before the delivered message is acquirable, so
+  // the pump and the poll run as events at the same virtual instant.
   cluster->engine(0).SetReceiveHook([&](std::uint32_t endpoint, bool delivered) {
     if (endpoint == credit_rx_index && delivered) {
-      sender->Pump();
+      cluster->sim().ScheduleAfter(0, [&] { sender->Pump(); });
     }
   });
   cluster->engine(1).SetReceiveHook([&](std::uint32_t endpoint, bool delivered) {
     if (endpoint != data_rx_index || !delivered) {
       return;
     }
-    auto transfer = receiver->Poll();
-    if (transfer.ok()) {
-      done_at = cluster->sim().Now();
-      checksum_ok = transfer->checksum_ok;
-    }
+    cluster->sim().ScheduleAfter(0, [&] {
+      auto transfer = receiver->Poll();
+      if (transfer.ok()) {
+        done_at = cluster->sim().Now();
+        checksum_ok = transfer->checksum_ok;
+      }
+    });
   });
 
   sender->Pump();

@@ -99,15 +99,6 @@ void BM_TasLockUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_TasLockUncontended);
 
-void BM_PetersonLockUncontended(benchmark::State& state) {
-  PetersonLock lock;
-  for (auto _ : state) {
-    lock.Lock(0);
-    lock.Unlock(0);
-  }
-}
-BENCHMARK(BM_PetersonLockUncontended);
-
 void BM_CommBufferAllocFree(benchmark::State& state) {
   shm::CommBufferConfig config;
   config.message_size = 128;
@@ -214,6 +205,60 @@ void BM_ApiRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ApiRoundTrip);
 
+// One message through the whole real-thread path, stepped inline on one
+// thread: an unlocked send, one Step() of the sending engine (plan, copy
+// into the ThreadFabric ring) and of the receiving engine (poll, deliver),
+// then the unlocked receive, re-post and reclaim.
+class ApiCycleRig {
+ public:
+  ApiCycleRig() : fabric_(2) {
+    for (NodeId n = 0; n < 2; ++n) {
+      Domain::Options options;
+      options.comm.message_size = 64;
+      options.comm.buffer_count = 16;
+      options.comm.max_endpoints = 4;
+      options.node = n;
+      domains_[n] = std::move(Domain::Create(options).value());
+      engines_[n] = std::make_unique<engine::MessagingEngine>(
+          domains_[n]->comm(), fabric_.wire(n), engine::EngineOptions());
+      engines_[n]->SetClock(&RealClock::Instance());
+    }
+    tx_ = domains_[0]->CreateEndpoint({.type = shm::EndpointType::kSend}).value();
+    rx_ = domains_[1]->CreateEndpoint({.type = shm::EndpointType::kReceive}).value();
+    MessageBuffer posted = domains_[1]->AllocateBuffer().value();
+    (void)rx_.PostBufferUnlocked(posted);
+    msg_ = domains_[0]->AllocateBuffer().value();
+  }
+  // The engines hold references into the fabric and the domains.
+  ApiCycleRig(const ApiCycleRig&) = delete;
+  ApiCycleRig& operator=(const ApiCycleRig&) = delete;
+
+  void Cycle() {
+    (void)tx_.SendUnlocked(msg_, rx_.address());
+    benchmark::DoNotOptimize(engines_[0]->Step());
+    benchmark::DoNotOptimize(engines_[1]->Step());
+    MessageBuffer got = rx_.ReceiveUnlocked().value();
+    (void)rx_.PostBufferUnlocked(got);
+    msg_ = tx_.ReclaimUnlocked().value();
+  }
+
+ private:
+  simnet::ThreadFabric fabric_;
+  std::unique_ptr<Domain> domains_[2];
+  std::unique_ptr<engine::MessagingEngine> engines_[2];
+  Endpoint tx_;
+  Endpoint rx_;
+  MessageBuffer msg_;
+};
+
+void BM_EndpointApiCycle(benchmark::State& state) {
+  ApiCycleRig rig;
+  for (auto _ : state) {
+    rig.Cycle();
+  }
+}
+BENCHMARK(BM_EndpointApiCycle);
+
 // ---- Hot-path purity audit --------------------------------------------------
 //
 // With -DFLIPC_CHECK_HOT_PATH=ON the guard counters (GuardMode::kCount)
@@ -222,43 +267,15 @@ BENCHMARK(BM_ApiRoundTrip);
 // both must be zero per operation; CI's perf-smoke job fails on a nonzero
 // rate (the [MISMATCH] marker below). Without the guard build the audit
 // reports "guards not armed" and the metrics are omitted.
-// Guard counts for `messages` engine-to-engine messages over a
-// ThreadFabric: each releases a send, steps the sending engine (plan, build
-// the inline packet, copy it into the (0,1) ring) and the receiving engine
-// (poll the ring, deliver) inside one armed scope, then recycles both
-// buffers. Counted, not aborted: the caller has set GuardMode::kCount.
-hotpath::GuardCounters WireRoundTripGuardCounters(std::uint64_t messages) {
-  simnet::ThreadFabric fabric(2);
-  std::unique_ptr<Domain> domains[2];
-  for (NodeId n = 0; n < 2; ++n) {
-    Domain::Options options;
-    options.comm.message_size = 64;
-    options.comm.buffer_count = 16;
-    options.comm.max_endpoints = 4;
-    options.node = n;
-    domains[n] = std::move(Domain::Create(options).value());
-  }
-  engine::MessagingEngine sender(domains[0]->comm(), fabric.wire(0), engine::EngineOptions());
-  engine::MessagingEngine receiver(domains[1]->comm(), fabric.wire(1), engine::EngineOptions());
-  sender.SetClock(&RealClock::Instance());
-  receiver.SetClock(&RealClock::Instance());
-  auto tx = domains[0]->CreateEndpoint({.type = shm::EndpointType::kSend}).value();
-  auto rx = domains[1]->CreateEndpoint({.type = shm::EndpointType::kReceive}).value();
-  MessageBuffer posted = domains[1]->AllocateBuffer().value();
-  (void)rx.PostBufferUnlocked(posted);
-  MessageBuffer msg = domains[0]->AllocateBuffer().value();
-
+// Guard counts for `messages` API cycles (ApiCycleRig), each run inside
+// one armed scope. Counted, not aborted: the caller has set
+// GuardMode::kCount.
+hotpath::GuardCounters ApiCycleGuardCounters(std::uint64_t messages) {
+  ApiCycleRig rig;
   hotpath::ResetGuardCounters();
   for (std::uint64_t i = 0; i < messages; ++i) {
-    (void)tx.SendUnlocked(msg, rx.address());
-    {
-      FLIPC_HOT_PATH("bench: ThreadFabric engine round trip");
-      benchmark::DoNotOptimize(sender.Step());
-      benchmark::DoNotOptimize(receiver.Step());
-    }
-    MessageBuffer got = rx.ReceiveUnlocked().value();
-    (void)rx.PostBufferUnlocked(got);
-    msg = tx.ReclaimUnlocked().value();
+    FLIPC_HOT_PATH("bench: API cycle over a ThreadFabric");
+    rig.Cycle();
   }
   return hotpath::ReadGuardCounters();
 }
@@ -291,7 +308,7 @@ void ReportHotPathPurity(bench::JsonReport& json) {
     }
   }
   const hotpath::GuardCounters counters = hotpath::ReadGuardCounters();
-  const hotpath::GuardCounters wire = WireRoundTripGuardCounters(kOps);
+  const hotpath::GuardCounters wire = ApiCycleGuardCounters(kOps);
   hotpath::SetGuardMode(hotpath::GuardMode::kAbort);
 
   const double allocs_per_op = static_cast<double>(counters.allocations) / kOps;
@@ -316,7 +333,8 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   std::printf("  verdict: %s\n",
               clean ? "OK — wait-free path is allocation- and lock-free"
                     : "[MISMATCH] hot-path scopes observed allocations/locks");
-  std::printf("\nThreadFabric engine-to-engine round trip (%llu messages, %llu armed scopes)\n",
+  std::printf("\nAPI cycle over a ThreadFabric: send, both engines stepped, receive, post, "
+              "reclaim (%llu messages, %llu armed scopes)\n",
               static_cast<unsigned long long>(kOps),
               static_cast<unsigned long long>(wire.scope_entries));
   std::printf("  %-28s %12.6f per msg\n", "allocations", wire_allocs_per_msg);
@@ -326,8 +344,8 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   std::printf("  %-28s %12llu total\n", "loop budget overruns",
               static_cast<unsigned long long>(wire.loop_overruns));
   std::printf("  verdict: %s\n",
-              wire_clean ? "OK — the real-thread wire path is allocation- and lock-free"
-                         : "[MISMATCH] the wire round trip observed allocations/locks");
+              wire_clean ? "OK — the API and real-thread wire path is allocation- and lock-free"
+                         : "[MISMATCH] the API cycle observed allocations/locks");
 
   json.AddMetric("hot_path_allocs_per_op", allocs_per_op, "count");
   json.AddMetric("hot_path_locks_per_op", locks_per_op, "count");

@@ -34,7 +34,7 @@
 //     hot-path objects for undefined references to allocation, pthread and
 //     blocking libc entry points, and enforces the source-level atomics
 //     discipline (no raw std::atomic outside src/waitfree/ and
-//     src/base/locks.h; seq_cst only in the Peterson lock). The runtime
+//     src/base/locks.h; seq_cst only in the park/wake fences). The runtime
 //     guards catch what symbols cannot (an allocation on a cold branch of
 //     a hot TU is fine; one inside an armed scope is not), and vice versa.
 //
@@ -109,7 +109,7 @@ namespace flipc::hotpath {
 // What a guard observed inside an armed hot-path scope.
 enum class GuardClass : std::uint8_t {
   kAllocation,   // operator new/delete (heap traffic)
-  kLock,         // TasLock / PetersonLock acquisition
+  kLock,         // TasLock acquisition
   kBlocking,     // blocking primitive (semaphore wait/post, idle park)
   kLoopOverrun,  // a bounded loop exceeded its iteration budget
 };

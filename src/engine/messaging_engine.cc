@@ -949,6 +949,13 @@ void MessagingEngine::DeliverLocal(const simnet::Packet& packet, simnet::CostAcc
                                                                   : view.payload_size;
   std::memcpy(view.payload, packet.payload.data(), n);
   view.header->peer.Publish(packet.src_addr);  // Receiver learns the sender.
+  if (receive_hook_) {
+    // Stamp, then publish: the hook observes the delivery instant before
+    // the release below hands the message to the application, so a
+    // polling receiver can never see it first.
+    FLIPC_HOT_PATH_EXEMPT("observation hook");
+    receive_hook_(dst.endpoint(), /*delivered=*/true);
+  }
   view.header->state.Store(MsgState::kCompleted);
   queue.AdvanceProcess();
   record.processed_total.Publish(record.processed_total.ReadRelaxed() + 1);
@@ -961,10 +968,6 @@ void MessagingEngine::DeliverLocal(const simnet::Packet& packet, simnet::CostAcc
     FLIPC_HOT_PATH_EXEMPT("real-time semaphore handoff");
     semaphores_->Signal(record.semaphore_id.ReadRelaxed());
     ++stats_.semaphore_signals;
-  }
-  if (receive_hook_) {
-    FLIPC_HOT_PATH_EXEMPT("observation hook");
-    receive_hook_(dst.endpoint(), /*delivered=*/true);
   }
 }
 

@@ -266,9 +266,12 @@ class MessagingEngine {
 
   // ---- Observation hooks (simulation drivers / tests) ----
 
-  // Fired after the engine finishes a receive attempt on an endpoint
+  // Fired when the engine finishes a receive attempt on an endpoint
   // (delivered == false means the optimistic protocol discarded the
-  // message for lack of a posted buffer).
+  // message for lack of a posted buffer). A delivered message is copied
+  // but not yet acquirable: the hook runs before the release that hands
+  // it to the application, so a hook that needs the message must defer its
+  // work (the simulation drivers schedule it).
   void SetReceiveHook(std::function<void(std::uint32_t endpoint, bool delivered)> hook) {
     receive_hook_ = std::move(hook);
   }

@@ -24,7 +24,7 @@ Result<std::unique_ptr<Domain>> Domain::Create(const Options& options,
 
 Result<MessageBuffer> Domain::AllocateBuffer() {
   FLIPC_ASSIGN_OR_RETURN(const waitfree::BufferIndex index, comm_->AllocateBuffer());
-  calls_.buffer_allocs.fetch_add(1, std::memory_order_relaxed);
+  buffer_allocs_.fetch_add(1, std::memory_order_relaxed);
   return MessageBuffer(index, comm_->msg(index));
 }
 
@@ -32,8 +32,30 @@ Status Domain::FreeBuffer(MessageBuffer buffer) {
   if (!buffer.valid()) {
     return InvalidArgumentStatus();
   }
-  calls_.buffer_frees.fetch_add(1, std::memory_order_relaxed);
+  buffer_frees_.fetch_add(1, std::memory_order_relaxed);
   return comm_->FreeBuffer(buffer.index());
+}
+
+CallCounters Domain::calls() const {
+  CallCounters calls;
+  calls.sends = retired_sends_.load(std::memory_order_relaxed);
+  calls.receives = retired_receives_.load(std::memory_order_relaxed);
+  calls.buffer_posts = retired_posts_.load(std::memory_order_relaxed);
+  calls.buffer_reclaims = retired_reclaims_.load(std::memory_order_relaxed);
+  calls.buffer_allocs = buffer_allocs_.load(std::memory_order_relaxed);
+  calls.buffer_frees = buffer_frees_.load(std::memory_order_relaxed);
+  const shm::CommBuffer& comm = *comm_;
+  for (std::uint32_t i = 0; i < comm.max_endpoints(); ++i) {
+    if (!comm.endpoint(i).IsActive()) {
+      continue;
+    }
+    const shm::TelemetryBlock& telemetry = comm.telemetry(i);
+    calls.sends += telemetry.api_sends.Read();
+    calls.receives += telemetry.api_receives.Read();
+    calls.buffer_posts += telemetry.api_posts.Read();
+    calls.buffer_reclaims += telemetry.api_reclaims.Read();
+  }
+  return calls;
 }
 
 Result<MessageBuffer> Domain::BufferFromIndex(waitfree::BufferIndex index) {
@@ -89,8 +111,19 @@ Status Domain::DestroyEndpoint(Endpoint& endpoint) {
   const bool had_semaphore =
       (record.options.ReadRelaxed() & shm::kEndpointOptSemaphore) != 0;
   const std::uint32_t semaphore_id = record.semaphore_id.ReadRelaxed();
+  // Read before the free: once the slot is inactive, a CreateEndpoint may
+  // reuse it and reset its telemetry.
+  const shm::TelemetryBlock& telemetry = comm_->telemetry(endpoint.index());
+  const std::uint64_t sends = telemetry.api_sends.Read();
+  const std::uint64_t receives = telemetry.api_receives.Read();
+  const std::uint64_t posts = telemetry.api_posts.Read();
+  const std::uint64_t reclaims = telemetry.api_reclaims.Read();
 
   FLIPC_RETURN_IF_ERROR(comm_->FreeEndpoint(endpoint.index()));
+  retired_sends_.fetch_add(sends, std::memory_order_relaxed);
+  retired_receives_.fetch_add(receives, std::memory_order_relaxed);
+  retired_posts_.fetch_add(posts, std::memory_order_relaxed);
+  retired_reclaims_.fetch_add(reclaims, std::memory_order_relaxed);
 
   // Group semaphores are owned by their EndpointGroup; a group member must
   // be removed from the group before destruction, at which point Free here

@@ -33,26 +33,21 @@ namespace flipc {
 
 class EndpointGroup;
 
-// Per-domain API call counters, kept to reproduce the paper's future-work
+// Per-domain API call counts, kept to reproduce the paper's future-work
 // observation that "a FLIPC application can expect to employ about half of
 // its calls to FLIPC to send or receive messages, and the other half for
-// message buffer management" (experiment E11).
+// message buffer management" (experiment E11). A snapshot (Domain::calls()).
 struct CallCounters {
-  std::atomic<std::uint64_t> sends{0};
-  std::atomic<std::uint64_t> receives{0};
-  std::atomic<std::uint64_t> buffer_posts{0};
-  std::atomic<std::uint64_t> buffer_reclaims{0};
-  std::atomic<std::uint64_t> buffer_allocs{0};
-  std::atomic<std::uint64_t> buffer_frees{0};
+  std::uint64_t sends = 0;
+  std::uint64_t receives = 0;
+  std::uint64_t buffer_posts = 0;
+  std::uint64_t buffer_reclaims = 0;
+  std::uint64_t buffer_allocs = 0;
+  std::uint64_t buffer_frees = 0;
 
-  std::uint64_t MessagingCalls() const {
-    return sends.load(std::memory_order_relaxed) + receives.load(std::memory_order_relaxed);
-  }
+  std::uint64_t MessagingCalls() const { return sends + receives; }
   std::uint64_t BufferManagementCalls() const {
-    return buffer_posts.load(std::memory_order_relaxed) +
-           buffer_reclaims.load(std::memory_order_relaxed) +
-           buffer_allocs.load(std::memory_order_relaxed) +
-           buffer_frees.load(std::memory_order_relaxed);
+    return buffer_posts + buffer_reclaims + buffer_allocs + buffer_frees;
   }
 };
 
@@ -140,7 +135,11 @@ class Domain {
   FLIPC_ROLE_QUIESCENT Status QuiesceAndDestroyEndpoint(Endpoint& endpoint);
 
   simos::SemaphoreTable* semaphores() { return semaphores_; }
-  CallCounters& calls() { return calls_; }
+  // The API call counts so far. Sends, receives, posts and reclaims are
+  // the live endpoints' telemetry counters (TelemetryBlock api_*) plus what
+  // destroyed endpoints had counted, so the API path keeps no second
+  // counter; exact whenever no API call runs concurrently.
+  CallCounters calls() const;
 
   // Application-side flight recorder: successful API operations append the
   // kApi* events. The ring is caller-owned and process-local (it holds
@@ -174,7 +173,15 @@ class Domain {
   NodeId node_;
   simos::SemaphoreTable* semaphores_;
   std::function<void()> kick_;
-  CallCounters calls_;
+  // What calls() cannot read from live telemetry: the API counts of
+  // destroyed endpoints (a reused slot's telemetry restarts at zero), and
+  // buffer allocations and frees. Slow-path, relaxed statistics.
+  std::atomic<std::uint64_t> retired_sends_{0};
+  std::atomic<std::uint64_t> retired_receives_{0};
+  std::atomic<std::uint64_t> retired_posts_{0};
+  std::atomic<std::uint64_t> retired_reclaims_{0};
+  std::atomic<std::uint64_t> buffer_allocs_{0};
+  std::atomic<std::uint64_t> buffer_frees_{0};
   TraceRing* trace_ = nullptr;
   const Clock* trace_clock_ = nullptr;
 

@@ -1,7 +1,5 @@
 #include "src/flipc/endpoint.h"
 
-#include <mutex>
-
 #include "src/base/clock.h"
 #include "src/base/hotpath.h"
 #include "src/flipc/domain.h"
@@ -49,32 +47,19 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
   }
   buffer.header()->state.Store(MsgState::kReady);
 
-  waitfree::BufferQueueView queue = domain_->comm().queue(index_);
   bool released;
   if (locked) {
     ScopedLock<TasLock> guard(rec.lock);
-    released = queue.Release(buffer.index());
+    released = ReleaseAndCount(buffer.index(), expected);
   } else {
-    released = queue.Release(buffer.index());
+    released = ReleaseAndCount(buffer.index(), expected);
   }
-  shm::TelemetryBlock& telemetry = domain_->comm().telemetry(index_);
   if (!released) {
-    telemetry.RecordReleaseRejected();
     return UnavailableStatus();  // Queue full: application resource control.
   }
 
   if (expected == EndpointType::kSend) {
-    // Ring the doorbell so the engine's planner schedules this endpoint
-    // without a full scan. Sequenced after the queue Release
-    // above, so the engine's acquire of the doorbell also observes the
-    // released buffer. A full ring raises the overflow signal instead (the
-    // engine answers with a sweep); either way the send already succeeded —
-    // doorbells are hints.
-    const bool rang = domain_->comm().doorbell_ring().Ring(index_);
-    telemetry.RecordApiSend();
-    telemetry.RecordDoorbell(rang);
     domain_->TraceApi(TraceEvent::kApiSend, index_, buffer.index());
-    domain_->calls().sends.fetch_add(1, std::memory_order_relaxed);
     {
       // Kicking the engine out of its idle park is a host-thread artifact
       // (a fence and a load, plus a lock and a notify when the engine is
@@ -84,11 +69,33 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
       domain_->KickEngine();
     }
   } else {
-    telemetry.RecordApiPost();
     domain_->TraceApi(TraceEvent::kApiPostBuffer, index_, buffer.index());
-    domain_->calls().buffer_posts.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
+}
+
+bool Endpoint::ReleaseAndCount(waitfree::BufferIndex buffer, EndpointType expected) {
+  shm::CommBuffer& comm = domain_->comm();
+  shm::TelemetryBlock& telemetry = comm.telemetry(index_);
+  if (!comm.queue(index_).Release(buffer)) {
+    telemetry.RecordReleaseRejected();
+    return false;
+  }
+  if (expected == EndpointType::kSend) {
+    // Ring the doorbell so the engine's planner schedules this endpoint
+    // without a full scan. Sequenced after the queue Release above, so the
+    // engine's acquire of the doorbell also observes the released buffer.
+    // A full ring raises the overflow signal instead (the engine answers
+    // with a sweep); either way the send already succeeded — doorbells are
+    // hints. The ring's slot claim is the only read-modify-write on the
+    // lock-free API path.
+    const bool rang = comm.doorbell_ring().Ring(index_);
+    telemetry.RecordApiSend();
+    telemetry.RecordDoorbell(rang);
+  } else {
+    telemetry.RecordApiPost();
+  }
+  return true;
 }
 
 Result<MessageBuffer> Endpoint::AcquireCommon(EndpointType expected, bool locked) {
@@ -103,28 +110,34 @@ Result<MessageBuffer> Endpoint::AcquireCommon(EndpointType expected, bool locked
   FLIPC_HOT_PATH_IF(!locked, expected == EndpointType::kReceive
                                  ? "Endpoint::ReceiveUnlocked"
                                  : "Endpoint::ReclaimUnlocked");
-  waitfree::BufferQueueView queue = domain_->comm().queue(index_);
   waitfree::BufferIndex index;
   if (locked) {
     ScopedLock<TasLock> guard(rec.lock);
-    index = queue.Acquire();
+    index = AcquireAndCount(expected);
   } else {
-    index = queue.Acquire();
+    index = AcquireAndCount(expected);
   }
   if (index == waitfree::kInvalidBuffer) {
     return UnavailableStatus();
   }
-  shm::TelemetryBlock& telemetry = domain_->comm().telemetry(index_);
-  if (expected == EndpointType::kReceive) {
-    telemetry.RecordApiReceive();
-    domain_->TraceApi(TraceEvent::kApiReceive, index_, index);
-    domain_->calls().receives.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    telemetry.RecordApiReclaim();
-    domain_->TraceApi(TraceEvent::kApiReclaim, index_, index);
-    domain_->calls().buffer_reclaims.fetch_add(1, std::memory_order_relaxed);
-  }
+  domain_->TraceApi(expected == EndpointType::kReceive ? TraceEvent::kApiReceive
+                                                       : TraceEvent::kApiReclaim,
+                    index_, index);
   return MessageBuffer(index, domain_->comm().msg(index));
+}
+
+waitfree::BufferIndex Endpoint::AcquireAndCount(EndpointType expected) {
+  shm::CommBuffer& comm = domain_->comm();
+  const waitfree::BufferIndex index = comm.queue(index_).Acquire();
+  if (index == waitfree::kInvalidBuffer) {
+    return index;
+  }
+  if (expected == EndpointType::kReceive) {
+    comm.telemetry(index_).RecordApiReceive();
+  } else {
+    comm.telemetry(index_).RecordApiReclaim();
+  }
+  return index;
 }
 
 Result<MessageBuffer> Endpoint::AcquireBlocking(EndpointType expected, simos::Priority priority,

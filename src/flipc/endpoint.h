@@ -109,6 +109,11 @@ class Endpoint {
   Status ReleaseCommon(MessageBuffer& buffer, Address dst, shm::EndpointType expected,
                        bool locked);
   Result<MessageBuffer> AcquireCommon(shm::EndpointType expected, bool locked);
+  // The queue operation and its telemetry. The locked variants run these
+  // under the endpoint lock: the counters are single-writer cells, so
+  // threads sharing an endpoint must serialize their increments too.
+  bool ReleaseAndCount(waitfree::BufferIndex buffer, shm::EndpointType expected);
+  waitfree::BufferIndex AcquireAndCount(shm::EndpointType expected);
   Result<MessageBuffer> AcquireBlocking(shm::EndpointType expected, simos::Priority priority,
                                         DurationNs timeout_ns);
 

@@ -114,6 +114,7 @@ Result<std::unique_ptr<CommBuffer>> CommBuffer::Attach(void* base, std::size_t s
   }
   auto buffer = std::unique_ptr<CommBuffer>(
       new CommBuffer(static_cast<std::byte*>(base), /*owns=*/false));
+  buffer->ResolveSections();
   // Each process (and each attachment) registers the region's cells with
   // its own ownership-checker registry.
   buffer->DeclareBoundaryOwners();
@@ -138,28 +139,29 @@ void CommBuffer::FormatRegion(const CommBufferConfig& config, const CommBufferLa
   header_->doorbell_offset = layout.doorbell_offset;
   header_->buffers_offset = layout.buffers_offset;
   header_->total_size = layout.total_size;
+  ResolveSections();
 
   for (std::uint32_t i = 0; i < config.max_endpoints; ++i) {
-    new (&endpoint_table()[i]) EndpointRecord();
-    new (&telemetry_table()[i]) TelemetryBlock();
+    new (&endpoint_table_[i]) EndpointRecord();
+    new (&telemetry_table_[i]) TelemetryBlock();
   }
 
-  auto* cells = cell_arena();
+  auto* cells = cell_arena_;
   for (std::uint32_t i = 0; i < header_->cell_arena_size; ++i) {
     new (&cells[i]) waitfree::SingleWriterCell<BufferIndex>(kInvalidBuffer);
   }
 
   // Doorbell ring: zeroed cells carry lap tag 0, which never matches a
   // consumer expectation (tags start at 1), so the ring formats empty.
-  new (doorbell_cursors()) waitfree::DoorbellCursors();
-  auto* bells = doorbell_cells();
+  new (doorbell_cursors_) waitfree::DoorbellCursors();
+  auto* bells = doorbell_cells_;
   for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
     new (&bells[i]) waitfree::SingleWriterCell<std::uint64_t>(0);
   }
 
   // Thread the buffer free list: each buffer's freelist slot names the next
   // free buffer.
-  auto* next = freelist();
+  auto* next = freelist_;
   for (std::uint32_t i = 0; i < config.buffer_count; ++i) {
     next[i] = (i + 1 < config.buffer_count) ? i + 1 : kInvalidBuffer;
     new (&msg(i).header->state) waitfree::HandoffState();
@@ -179,20 +181,20 @@ void CommBuffer::DeclareBoundaryOwners() {
   // A reformat invalidates whatever was declared at these addresses before.
   waitfree::UndeclareCellRange(base_, header_->total_size);
   for (std::uint32_t i = 0; i < header_->max_endpoints; ++i) {
-    DeclareOwnersFromTable(&endpoint_table()[i], kEndpointRecordOwnership);
-    DeclareOwnersFromTable(&telemetry_table()[i], kTelemetryBlockOwnership);
+    DeclareOwnersFromTable(&endpoint_table_[i], kEndpointRecordOwnership);
+    DeclareOwnersFromTable(&telemetry_table_[i], kTelemetryBlockOwnership);
   }
   // Queue cells are written only by the application, at release time; the
   // engine communicates per-buffer completion through the buffer's state
   // field (see src/waitfree/buffer_queue.h).
-  auto* cells = cell_arena();
+  auto* cells = cell_arena_;
   for (std::uint32_t i = 0; i < header_->cell_arena_size; ++i) {
     cells[i].DeclareOwner(waitfree::Writer::kApplication, "CommBuffer.cell_arena");
   }
   // Doorbell ring: cursors per the ownership table; every ring cell is
   // written only by the application, at ring time.
-  DeclareOwnersFromTable(doorbell_cursors(), kDoorbellCursorsOwnership);
-  auto* bells = doorbell_cells();
+  DeclareOwnersFromTable(doorbell_cursors_, kDoorbellCursorsOwnership);
+  auto* bells = doorbell_cells_;
   for (std::uint32_t i = 0; i < header_->doorbell_capacity; ++i) {
     bells[i].DeclareOwner(waitfree::Writer::kApplication, "CommBuffer.doorbell_cells");
   }
@@ -201,51 +203,20 @@ void CommBuffer::DeclareBoundaryOwners() {
   // transition check covers them (src/waitfree/msg_state.h).
 }
 
-EndpointRecord* CommBuffer::endpoint_table() {
-  return reinterpret_cast<EndpointRecord*>(base_ + header_->endpoint_table_offset);
-}
-
-TelemetryBlock* CommBuffer::telemetry_table() {
-  return reinterpret_cast<TelemetryBlock*>(base_ + header_->telemetry_offset);
-}
-
-TelemetryBlock& CommBuffer::telemetry(std::uint32_t index) { return telemetry_table()[index]; }
-
-const TelemetryBlock& CommBuffer::telemetry(std::uint32_t index) const {
-  return const_cast<CommBuffer*>(this)->telemetry_table()[index];
-}
-
-waitfree::SingleWriterCell<BufferIndex>* CommBuffer::cell_arena() {
-  return reinterpret_cast<waitfree::SingleWriterCell<BufferIndex>*>(
+void CommBuffer::ResolveSections() {
+  endpoint_table_ = reinterpret_cast<EndpointRecord*>(base_ + header_->endpoint_table_offset);
+  telemetry_table_ = reinterpret_cast<TelemetryBlock*>(base_ + header_->telemetry_offset);
+  cell_arena_ = reinterpret_cast<waitfree::SingleWriterCell<BufferIndex>*>(
       base_ + header_->cell_arena_offset);
-}
-
-std::uint32_t* CommBuffer::freelist() {
-  return reinterpret_cast<std::uint32_t*>(base_ + header_->freelist_offset);
-}
-
-waitfree::DoorbellCursors* CommBuffer::doorbell_cursors() {
-  return reinterpret_cast<waitfree::DoorbellCursors*>(base_ + header_->doorbell_offset);
-}
-
-waitfree::SingleWriterCell<std::uint64_t>* CommBuffer::doorbell_cells() {
-  return reinterpret_cast<waitfree::SingleWriterCell<std::uint64_t>*>(
+  freelist_ = reinterpret_cast<std::uint32_t*>(base_ + header_->freelist_offset);
+  doorbell_cursors_ =
+      reinterpret_cast<waitfree::DoorbellCursors*>(base_ + header_->doorbell_offset);
+  doorbell_cells_ = reinterpret_cast<waitfree::SingleWriterCell<std::uint64_t>*>(
       base_ + header_->doorbell_offset + sizeof(waitfree::DoorbellCursors));
-}
-
-waitfree::DoorbellRingView CommBuffer::doorbell_ring() {
-  return waitfree::DoorbellRingView(doorbell_cursors(), doorbell_cells(),
-                                    header_->doorbell_capacity);
-}
-
-MsgView CommBuffer::msg(BufferIndex index) {
-  MsgView view;
-  std::byte* start =
-      base_ + header_->buffers_offset + static_cast<std::size_t>(index) * header_->message_size;
-  view.header = reinterpret_cast<MsgHeader*>(start);
-  view.payload = start + kMsgHeaderSize;
-  view.payload_size = payload_size();
-  return view;
+  buffers_ = base_ + header_->buffers_offset;
+  message_size_ = header_->message_size;
+  doorbell_ring_ = waitfree::DoorbellRingView(doorbell_cursors_, doorbell_cells_,
+                                              header_->doorbell_capacity);
 }
 
 Result<BufferIndex> CommBuffer::AllocateBuffer() {
@@ -256,7 +227,7 @@ Result<BufferIndex> CommBuffer::AllocateBuffer() {
     return ResourceExhaustedStatus();
   }
   const BufferIndex index = header_->free_head;
-  header_->free_head = freelist()[index];
+  header_->free_head = freelist_[index];
   --header_->free_count;
   msg(index).header->state.Store(waitfree::MsgState::kFree);
   return index;
@@ -267,7 +238,7 @@ Status CommBuffer::FreeBuffer(BufferIndex index) {
     return InvalidArgumentStatus();
   }
   ScopedLock<TasLock> guard(header_->alloc_lock);
-  freelist()[index] = header_->free_head;
+  freelist_[index] = header_->free_head;
   header_->free_head = index;
   ++header_->free_count;
   return OkStatus();
@@ -294,7 +265,7 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
   std::uint32_t chosen = kInvalidEndpoint;
   std::uint32_t fallback = kInvalidEndpoint;
   for (std::uint32_t i = 0; i < header_->max_endpoints; ++i) {
-    EndpointRecord& record = endpoint_table()[i];
+    EndpointRecord& record = endpoint_table_[i];
     if (record.IsActive()) {
       continue;
     }
@@ -313,7 +284,7 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
     return ResourceExhaustedStatus();
   }
 
-  EndpointRecord& record = endpoint_table()[chosen];
+  EndpointRecord& record = endpoint_table_[chosen];
   if (record.cells_reserved.ReadRelaxed() < params.queue_capacity) {
     if (header_->cells_used + params.queue_capacity > header_->cell_arena_size) {
       return ResourceExhaustedStatus();
@@ -353,7 +324,7 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
     record.process_count.StoreRelaxed(0);
     record.drops_total.StoreRelaxed(0);
     record.processed_total.StoreRelaxed(0);
-    telemetry_table()[chosen].ResetQuiescent();
+    telemetry_table_[chosen].ResetQuiescent();
   }
 
   // Publish the type last: the engine treats a non-inactive type as the
@@ -369,7 +340,7 @@ Status CommBuffer::FreeEndpoint(std::uint32_t index) {
   }
   waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kApplication);
   ScopedLock<TasLock> guard(header_->alloc_lock);
-  EndpointRecord& record = endpoint_table()[index];
+  EndpointRecord& record = endpoint_table_[index];
   if (!record.IsActive()) {
     return FailedPreconditionStatus();
   }
@@ -382,19 +353,6 @@ Status CommBuffer::FreeEndpoint(std::uint32_t index) {
   --header_->endpoints_active;
   // cells_offset / cells_reserved are kept for reuse by a later allocation.
   return OkStatus();
-}
-
-EndpointRecord& CommBuffer::endpoint(std::uint32_t index) { return endpoint_table()[index]; }
-
-const EndpointRecord& CommBuffer::endpoint(std::uint32_t index) const {
-  return const_cast<CommBuffer*>(this)->endpoint_table()[index];
-}
-
-waitfree::BufferQueueView CommBuffer::queue(std::uint32_t endpoint_index) {
-  EndpointRecord& record = endpoint_table()[endpoint_index];
-  return waitfree::BufferQueueView(
-      &record.release_count, &record.acquire_count, &record.process_count,
-      cell_arena() + record.cells_offset.ReadRelaxed(), record.queue_capacity.ReadRelaxed());
 }
 
 }  // namespace flipc::shm

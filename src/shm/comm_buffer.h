@@ -181,7 +181,14 @@ class CommBuffer {
   std::uint32_t FreeBufferCount();
 
   // View of a buffer; callers must pass a valid index.
-  MsgView msg(BufferIndex index);
+  MsgView msg(BufferIndex index) {
+    MsgView view;
+    std::byte* start = buffers_ + static_cast<std::size_t>(index) * message_size_;
+    view.header = reinterpret_cast<MsgHeader*>(start);
+    view.payload = start + kMsgHeaderSize;
+    view.payload_size = message_size_ - static_cast<std::uint32_t>(kMsgHeaderSize);
+    return view;
+  }
 
   bool IsValidBufferIndex(BufferIndex index) const {
     return index < header_->buffer_count;
@@ -212,25 +219,31 @@ class CommBuffer {
   // The endpoint's queue must be empty (all buffers acquired back).
   FLIPC_ROLE_QUIESCENT Status FreeEndpoint(std::uint32_t index);
 
-  EndpointRecord& endpoint(std::uint32_t index);
-  const EndpointRecord& endpoint(std::uint32_t index) const;
+  EndpointRecord& endpoint(std::uint32_t index) { return endpoint_table_[index]; }
+  const EndpointRecord& endpoint(std::uint32_t index) const { return endpoint_table_[index]; }
 
   bool IsValidEndpointIndex(std::uint32_t index) const {
     return index < header_->max_endpoints;
   }
 
   // Queue view bound to an endpoint's cursors and cells.
-  waitfree::BufferQueueView queue(std::uint32_t endpoint_index);
+  waitfree::BufferQueueView queue(std::uint32_t endpoint_index) {
+    EndpointRecord& record = endpoint_table_[endpoint_index];
+    return waitfree::BufferQueueView(&record.release_count, &record.acquire_count,
+                                     &record.process_count,
+                                     cell_arena_ + record.cells_offset.ReadRelaxed(),
+                                     record.queue_capacity.ReadRelaxed());
+  }
 
   // View of the send doorbell ring (the application rings, the engine
   // drains).
-  waitfree::DoorbellRingView doorbell_ring();
+  waitfree::DoorbellRingView doorbell_ring() const { return doorbell_ring_; }
   std::uint32_t doorbell_capacity() const { return header_->doorbell_capacity; }
 
   // Per-endpoint telemetry. Reads need no role; writes go through the
   // Record* helpers under the matching boundary role.
-  TelemetryBlock& telemetry(std::uint32_t index);
-  const TelemetryBlock& telemetry(std::uint32_t index) const;
+  TelemetryBlock& telemetry(std::uint32_t index) { return telemetry_table_[index]; }
+  const TelemetryBlock& telemetry(std::uint32_t index) const { return telemetry_table_[index]; }
 
  private:
   CommBuffer(std::byte* base, bool owns);
@@ -243,16 +256,24 @@ class CommBuffer {
   // unless FLIPC_CHECK_SINGLE_WRITER.
   void DeclareBoundaryOwners();
 
-  EndpointRecord* endpoint_table();
-  TelemetryBlock* telemetry_table();
-  waitfree::SingleWriterCell<BufferIndex>* cell_arena();
-  std::uint32_t* freelist();
-  waitfree::DoorbellCursors* doorbell_cursors();
-  waitfree::SingleWriterCell<std::uint64_t>* doorbell_cells();
+  // Resolves the section pointers below from the header's offsets, once
+  // the header is formatted or validated. The header's identity block is
+  // immutable after creation, so the accessors never reread it.
+  void ResolveSections();
 
   std::byte* base_ = nullptr;
   CommBufferHeader* header_ = nullptr;
   bool owns_ = false;
+
+  EndpointRecord* endpoint_table_ = nullptr;
+  TelemetryBlock* telemetry_table_ = nullptr;
+  waitfree::SingleWriterCell<BufferIndex>* cell_arena_ = nullptr;
+  std::uint32_t* freelist_ = nullptr;
+  waitfree::DoorbellCursors* doorbell_cursors_ = nullptr;
+  waitfree::SingleWriterCell<std::uint64_t>* doorbell_cells_ = nullptr;
+  std::byte* buffers_ = nullptr;
+  std::uint32_t message_size_ = 0;
+  waitfree::DoorbellRingView doorbell_ring_;
 };
 
 }  // namespace flipc::shm

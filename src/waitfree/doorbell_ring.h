@@ -100,21 +100,45 @@ class DoorbellRingView {
   // the caller proceeds exactly as on success (doorbells are hints).
   bool Ring(std::uint32_t endpoint) {
     FLIPC_HOT_PATH("DoorbellRingView::Ring");
+    if (!CheckRoom()) {
+      return false;
+    }
+    PublishSlot(ClaimSlot(), endpoint);
+    return true;
+  }
+
+  // Ring() in its three steps. Concurrent producers interleave between
+  // them, which is how a claim overshoots the soft-full check; the model
+  // checker drives the steps one at a time.
+
+  // The soft-full check. When the ring is full, raises the overflow signal
+  // rather than spin and returns false. Concurrent producers may collapse
+  // increments — acceptable, the signal is level-triggered (any mismatch
+  // causes one covering sweep).
+  bool CheckRoom() {
     const std::uint32_t head = cursors_->ring_head.ReadRelaxed();
     if (cursors_->ring_tail.load(std::memory_order_relaxed) - head >= capacity_) {
-      // Full: raise the overflow signal rather than spin. Concurrent
-      // producers may collapse increments — acceptable, the signal is
-      // level-triggered (any mismatch causes one covering sweep).
       cursors_->overflow_rung.Publish(cursors_->overflow_rung.ReadRelaxed() + 1);
       return false;
     }
-    const std::uint32_t pos = cursors_->ring_tail.fetch_add(1, std::memory_order_relaxed);
-    // If concurrent producers overshot the soft-full check above, this store
-    // overwrites a not-yet-consumed slot from the previous lap. The consumer
-    // detects the future tag and skips the slot; the overwritten doorbell is
-    // lost, which the backstop sweep tolerates.
-    cells_[pos & mask_].Publish(MakeCell(pos, endpoint));
     return true;
+  }
+
+  // Claims the next position: the ring's only read-modify-write. Release
+  // orders this producer's earlier publishes before the claim, which the
+  // consumer's full-lap check relies on (LostAtFull).
+  std::uint32_t ClaimSlot() {
+    return cursors_->ring_tail.fetch_add(1, std::memory_order_release);
+  }
+
+  // Publishes `endpoint` at a claimed position. If concurrent producers
+  // overshot the soft-full check, this store overwrites a not-yet-consumed
+  // slot from the previous lap (the consumer skips the future tag; the
+  // overwritten doorbell is lost, which the backstop sweep tolerates), or,
+  // when this producer is the late one, writes an older tag over a later
+  // lap's doorbell (Pop() skips that slot once the ring is full).
+  void PublishSlot(std::uint32_t pos, std::uint32_t endpoint) {
+    cells_[pos & mask_].Publish(MakeCell(pos, endpoint));
   }
 
   // =========================== Engine side =================================
@@ -141,10 +165,14 @@ class DoorbellRingView {
         cursors_->ring_head.Publish(head + 1);
         return static_cast<std::uint32_t>(cell);
       }
-      if (static_cast<std::int32_t>(tag - expected) > 0) {
+      if (static_cast<std::int32_t>(tag - expected) > 0 || LostAtFull(head)) {
         // A producer lapped this slot: its original doorbell was
-        // overwritten. Skip it (lost doorbells are backstop-swept) so the
-        // ring self-heals instead of wedging.
+        // overwritten. Or the slot is stale while a full lap past it is
+        // claimed: its producer published after a later lap's producer
+        // (both overshot one soft-full check), or has not published yet;
+        // waiting would leave the ring full and refusing every Ring() from
+        // here on. Skip it (lost doorbells are backstop-swept) so the ring
+        // self-heals instead of wedging.
         cursors_->ring_head.Publish(head + 1);
         continue;
       }
@@ -152,12 +180,12 @@ class DoorbellRingView {
     }
   }
 
-  // True when a published doorbell is waiting at the head.
+  // True when Pop() would consume or skip the head slot.
   bool HasPending() const {
     const std::uint32_t head = cursors_->ring_head.ReadRelaxed();
     const std::uint32_t tag =
         static_cast<std::uint32_t>(cells_[head & mask_].Read() >> 32);
-    return static_cast<std::int32_t>(tag - ExpectedTag(head)) >= 0;
+    return static_cast<std::int32_t>(tag - ExpectedTag(head)) >= 0 || LostAtFull(head);
   }
 
   // True when a producer reported a full ring the engine has not yet
@@ -207,6 +235,21 @@ class DoorbellRingView {
   // (the once-per-2^32-rings tag discontinuity at worst loses one ring of
   // doorbells to the backstop sweep).
   std::uint32_t ExpectedTag(std::uint32_t pos) const { return (pos >> shift_) + 1; }
+
+  // True when the slot at `head` still holds an older lap's tag although a
+  // full lap of positions past it is claimed. Below full, a stale tag is
+  // an unpublished slot whose producer is still on its way, and the
+  // consumer waits. The tail is read first and the cell again after it:
+  // the acquire pairs with ClaimSlot's release, so a slot published before
+  // a later claim (always so for a lone producer) is visible here and is
+  // never skipped.
+  bool LostAtFull(std::uint32_t head) const {
+    if (cursors_->ring_tail.load(std::memory_order_acquire) - head < capacity_) {
+      return false;
+    }
+    const std::uint32_t tag = static_cast<std::uint32_t>(cells_[head & mask_].Read() >> 32);
+    return static_cast<std::int32_t>(tag - ExpectedTag(head)) < 0;
+  }
 
   std::uint64_t MakeCell(std::uint32_t pos, std::uint32_t endpoint) const {
     return (static_cast<std::uint64_t>(ExpectedTag(pos)) << 32) | endpoint;

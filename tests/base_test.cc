@@ -228,23 +228,6 @@ TEST(TasLock, TryLock) {
   lock.unlock();
 }
 
-TEST(PetersonLock, TwoPartyMutualExclusion) {
-  PetersonLock lock;
-  long counter = 0;
-  constexpr int kIters = 50000;
-  auto body = [&](int side) {
-    for (int i = 0; i < kIters; ++i) {
-      PetersonGuard guard(lock, side);
-      ++counter;
-    }
-  };
-  std::thread t0(body, 0);
-  std::thread t1(body, 1);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(counter, 2L * kIters);
-}
-
 // ---------------------------------- clock ----------------------------------
 
 TEST(ManualClock, AdvancesOnly) {

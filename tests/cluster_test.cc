@@ -3,12 +3,15 @@
 // through the real-time semaphore. These exercise the same wait-free
 // structures under genuine parallel execution.
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/flipc/flipc.h"
+#include "tests/poll_backoff.h"
 
 namespace flipc {
 namespace {
@@ -272,6 +275,81 @@ TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
   }
   EXPECT_EQ(sent.load(), 2 * kPerThread);
   EXPECT_EQ(rx->DropCount(), 0u);
+}
+
+// Two threads share one send endpoint through the locked Send/Reclaim. The
+// endpoint's telemetry cells are single-writer, so their increments must
+// run under the endpoint lock too: bumped after the lock is dropped, two
+// senders lose counts, and every identity built on them breaks (E11's call
+// counts among them).
+TEST(Cluster, SharedEndpointTelemetryCountsEveryLockedCall) {
+  constexpr int kPerThread = 50000;
+  constexpr int kBuffersPerThread = 8;
+  auto cluster = MakeCluster();
+  Domain& a = cluster->domain(0);
+  Domain& b = cluster->domain(1);
+  // No buffers are posted: the destination engine drops every message,
+  // which leaves the send side (the subject here) free-running.
+  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive});
+  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 32});
+  ASSERT_TRUE(rx.ok() && tx.ok());
+
+  std::atomic<std::uint64_t> sends{0};
+  std::atomic<std::uint64_t> reclaims{0};
+  // A time budget too, so a loaded host checks the identities on fewer
+  // calls instead of stalling the suite.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto sender = [&] {
+    std::vector<MessageBuffer> free;
+    for (int i = 0; i < kBuffersPerThread; ++i) {
+      auto buffer = a.AllocateBuffer();
+      ASSERT_TRUE(buffer.ok());
+      free.push_back(*buffer);
+    }
+    int sent = 0;
+    test_util::PollBackoff backoff;
+    while (sent < kPerThread && std::chrono::steady_clock::now() < deadline) {
+      // Bursts: both threads release back to back, so their increments of
+      // the same telemetry cells overlap.
+      while (!free.empty() && sent < kPerThread && tx->Send(free.back(), rx->address()).ok()) {
+        free.pop_back();
+        ++sent;
+        sends.fetch_add(1, std::memory_order_relaxed);
+      }
+      for (auto reclaimed = tx->Reclaim(); reclaimed.ok(); reclaimed = tx->Reclaim()) {
+        free.push_back(*reclaimed);
+        reclaims.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Every buffer in flight: back off (spin, then sleep) so a loaded
+      // host still runs the engine that completes them.
+      if (free.empty()) {
+        backoff.Idle();
+      } else {
+        backoff.Reset();
+      }
+    }
+  };
+  {
+    std::jthread t1(sender), t2(sender);
+  }
+  // Let the engine finish what was released, then reclaim the rest.
+  const shm::EndpointRecord& record = a.comm().endpoint(tx->index());
+  while (record.processed_total.Read() < sends.load() &&
+         std::chrono::steady_clock::now() < deadline + std::chrono::seconds(10)) {
+    std::this_thread::yield();
+  }
+  while (tx->Reclaim().ok()) {
+    reclaims.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  const shm::TelemetryBlock& telemetry = a.comm().telemetry(tx->index());
+  EXPECT_GT(sends.load(), 0u);
+  EXPECT_EQ(record.processed_total.Read(), sends.load());
+  EXPECT_EQ(telemetry.api_sends.Read(), sends.load());
+  EXPECT_EQ(telemetry.doorbell_rings.Read(), sends.load());
+  EXPECT_EQ(telemetry.api_reclaims.Read(), reclaims.load());
+  EXPECT_EQ(reclaims.load(), sends.load());
+  EXPECT_EQ(a.calls().sends, sends.load());
 }
 
 // The idle-park budget is pure arithmetic; pin its edge cases directly.

@@ -397,6 +397,27 @@ TEST_F(EngineTest, HooksFire) {
   EXPECT_EQ(send_hook_calls, 2);
 }
 
+// Stamp, then publish: the delivery hook runs before the release that makes
+// the message acquirable, so a stamp taken there never trails a polling
+// receiver's acquire.
+TEST_F(EngineTest, DeliveryHookRunsBeforeTheMessageIsAcquirable) {
+  const std::uint32_t tx = MakeEndpoint(0, EndpointType::kSend);
+  const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
+  int delivered_calls = 0;
+  engine_[1]->SetReceiveHook([&](std::uint32_t endpoint, bool delivered) {
+    if (delivered) {
+      ++delivered_calls;
+      EXPECT_EQ(comm_[1]->queue(endpoint).AcquirableCount(), 0u);
+      EXPECT_EQ(comm_[1]->endpoint(endpoint).processed_total.Read(), 0u);
+    }
+  });
+  PostRecvBuffer(1, rx);
+  QueueSend(0, tx, Address(1, static_cast<std::uint16_t>(rx)));
+  RunAll();
+  EXPECT_EQ(delivered_calls, 1);
+  EXPECT_EQ(comm_[1]->queue(rx).AcquirableCount(), 1u);
+}
+
 // ------------------------- Protocol framework -------------------------------
 
 class RecordingHandler : public ProtocolHandler {

@@ -59,17 +59,6 @@ TEST(HotPathGuardDeathTest, LockAcquisitionInsideScopeAborts) {
       "hot-path violation: lock acquisition.*test-lock-scope");
 }
 
-TEST(HotPathGuardDeathTest, PetersonLockInsideScopeAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ASSERT_DEATH(
-      {
-        PetersonLock lock;
-        FLIPC_HOT_PATH("test-peterson-scope");
-        lock.Lock(0);
-      },
-      "hot-path violation: lock acquisition.*test-peterson-scope");
-}
-
 TEST(HotPathGuardDeathTest, BlockingCallInsideScopeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(
@@ -125,9 +114,6 @@ TEST(HotPathGuardTest, LocksOutsideScopeAreUntouched) {
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
   lock.unlock();
-  PetersonLock peterson;
-  peterson.Lock(0);
-  peterson.Unlock(0);
 }
 
 TEST(HotPathGuardTest, ExemptionSuspendsGuards) {

@@ -14,9 +14,12 @@
 // (tests/generated_model_schedules.h — see tools/flipc_static_audit
 // --emit-schedules): when the wait-free protocol changes, the drift ctest
 // regenerates the seeds rather than this file silently model-checking a
-// stale operation mix. The drop-counter and park/wake tests at the bottom
-// are documented extras — a counter and a two-word handshake, not one of
-// the generated rings.
+// stale operation mix. The claim/publish-grain doorbell model and the
+// drop-counter and park/wake tests at the bottom are documented extras:
+// three producers inside Ring(), a counter and a two-word handshake, none
+// of them one of the generated two-sided mixes.
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,52 +38,69 @@ namespace {
 
 namespace gen = flipc::generated_schedules;
 
-// Explores all interleavings of two operation sequences. Each operation is
-// a callback; `check` runs after every operation with the schedule string.
+// One side of an interleaving: its boundary role, its label in schedule
+// strings, and its operations in program order.
+struct Side {
+  Writer role;
+  char label;
+  std::vector<std::function<void()>> ops;
+};
+
+// Explores all interleavings of the sides' operation sequences. Each
+// operation is a callback; `check` runs after every operation with the
+// schedule string.
 //
 // Every operation executes under the boundary role of its side, so in a
 // FLIPC_CHECK_SINGLE_WRITER build each enumerated schedule also runs with
 // the ownership race detector armed: an app op that wrote an engine-owned
 // cursor (or vice versa) in ANY interleaving would abort the test.
+void ForAllInterleavings(const std::vector<Side>& sides,
+                         const std::function<void(const std::string&)>& check,
+                         const std::function<void()>& reset) {
+  std::size_t total = 0;
+  for (const Side& side : sides) {
+    total += side.ops.size();
+  }
+  // A schedule is the side index taken at each step.
+  std::vector<std::size_t> schedule(total);
+  std::vector<std::size_t> done(sides.size(), 0);
+
+  std::function<void(std::size_t)> recurse = [&](std::size_t step) {
+    if (step == total) {
+      // Replay this complete schedule from a fresh state.
+      reset();
+      std::string description;
+      std::vector<std::size_t> next(sides.size(), 0);
+      for (std::size_t s = 0; s < total; ++s) {
+        const Side& side = sides[schedule[s]];
+        {
+          ScopedBoundaryRole role(side.role);
+          side.ops[next[schedule[s]]++]();
+        }
+        description += side.label;
+        check(description);
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      if (done[i] < sides[i].ops.size()) {
+        schedule[step] = i;
+        ++done[i];
+        recurse(step + 1);
+        --done[i];
+      }
+    }
+  };
+  recurse(0);
+}
+
+// The application-versus-engine case: schedules are strings of 'a' and 'e'.
 void ForAllInterleavings(const std::vector<std::function<void()>>& app_ops,
                          const std::vector<std::function<void()>>& engine_ops,
                          const std::function<void(const std::string&)>& check,
                          const std::function<void()>& reset) {
-  // Schedules are bitstrings: at each step pick app (a) or engine (e).
-  const std::size_t total = app_ops.size() + engine_ops.size();
-  std::vector<bool> schedule(total);
-
-  std::function<void(std::size_t, std::size_t, std::size_t)> recurse =
-      [&](std::size_t step, std::size_t a_done, std::size_t e_done) {
-        if (step == total) {
-          // Replay this complete schedule from a fresh state.
-          reset();
-          std::string description;
-          std::size_t ai = 0, ei = 0;
-          for (std::size_t s = 0; s < total; ++s) {
-            if (schedule[s]) {
-              ScopedBoundaryRole role(Writer::kApplication);
-              app_ops[ai++]();
-              description += 'a';
-            } else {
-              ScopedBoundaryRole role(Writer::kEngine);
-              engine_ops[ei++]();
-              description += 'e';
-            }
-            check(description);
-          }
-          return;
-        }
-        if (a_done < app_ops.size()) {
-          schedule[step] = true;
-          recurse(step + 1, a_done + 1, e_done);
-        }
-        if (e_done < engine_ops.size()) {
-          schedule[step] = false;
-          recurse(step + 1, a_done, e_done + 1);
-        }
-      };
-  recurse(0, 0, 0);
+  ForAllInterleavings({{Writer::kApplication, 'a', app_ops}, {Writer::kEngine, 'e', engine_ops}},
+                      check, reset);
 }
 
 // ---- Queue: application releases/acquires vs engine peek/advance ----------
@@ -327,6 +347,126 @@ TEST(ModelCheck, DoorbellOverflowAckInterleavings) {
       },
       [&] { model.Reset(); });
   EXPECT_EQ(schedules, gen::kDoorbellOverflowSchedules);
+}
+
+// ---- Doorbell ring at the claim/publish grain ------------------------------
+//
+// Hand-written extra. The generated doorbell models interleave whole Ring()
+// calls, so the soft-full check is exact there. Here Ring() runs as its
+// three steps (CheckRoom, ClaimSlot, PublishSlot) and producers interleave
+// between them, which lets a claim overshoot the check. Three producers
+// ring once each on a capacity-2 ring while the engine pops twice. Fewer
+// producers cannot wedge the ring: that takes one producer delayed between
+// its claim and its publish, a second whose claim lands a full lap ahead of
+// the first, and a third whose claim falls between the second's check and
+// claim. Lost doorbells are legal here (the backstop sweep covers them);
+// invented or repeated ones, and a ring that stays full with nothing to
+// pop, are not.
+class DoorbellClaimGrainModel {
+ public:
+  static constexpr std::uint32_t kCapacity = 2;
+  static constexpr std::uint32_t kProducers = 3;
+
+  void Reset() {
+    ring_ = std::make_unique<InlineDoorbellRing<kCapacity>>();
+    room_.fill(false);
+    pos_.fill(0);
+    published_.clear();
+    popped_.clear();
+  }
+
+  // Producer p's three steps; producer p rings value p.
+  void Check(std::uint32_t p) { room_[p] = ring_->view().CheckRoom(); }
+  void Claim(std::uint32_t p) {
+    if (room_[p]) {
+      pos_[p] = ring_->view().ClaimSlot();
+    }
+  }
+  void Publish(std::uint32_t p) {
+    if (room_[p]) {
+      ring_->view().PublishSlot(pos_[p], p);
+      published_.push_back(p);
+    }
+  }
+
+  void EnginePop(const std::string& schedule) {
+    const std::uint32_t value = ring_->view().Pop();
+    if (value == kInvalidDoorbell) {
+      return;
+    }
+    ASSERT_NE(std::find(published_.begin(), published_.end(), value), published_.end())
+        << "popped unpublished doorbell " << value << " in " << schedule;
+    ASSERT_EQ(std::find(popped_.begin(), popped_.end(), value), popped_.end())
+        << "popped doorbell " << value << " twice in " << schedule;
+    popped_.push_back(value);
+  }
+
+  // Runs once every producer has published. Rings fresh values until one
+  // is refused; popping must then bring the ring below full. A wedged ring
+  // holds an older lap's tag at its head: Pop() finds nothing, the ring
+  // stays full, and every later Ring() is refused.
+  void CheckLive(const std::string& schedule) {
+    {
+      ScopedBoundaryRole role(Writer::kApplication);
+      std::uint32_t value = 100;
+      for (std::uint32_t i = 0; i <= kCapacity && ring_->view().Ring(value); ++i) {
+        published_.push_back(value++);
+      }
+    }
+    ASSERT_GE(ring_->view().PendingCount(), kCapacity) << schedule;
+    {
+      ScopedBoundaryRole role(Writer::kEngine);
+      // Overshoot can leave more than a lap claimed; each pop consumes or
+      // skips at most one position.
+      for (std::uint32_t i = 0;
+           i < kCapacity + kProducers && ring_->view().PendingCount() >= kCapacity; ++i) {
+        EnginePop(schedule);
+      }
+    }
+    ASSERT_LT(ring_->view().PendingCount(), kCapacity)
+        << "doorbell ring wedged full in schedule " << schedule;
+  }
+
+ private:
+  std::unique_ptr<InlineDoorbellRing<kCapacity>> ring_;
+  std::array<bool, kProducers> room_{};
+  std::array<std::uint32_t, kProducers> pos_{};
+  std::vector<std::uint32_t> published_;
+  std::vector<std::uint32_t> popped_;
+};
+
+TEST(ModelCheck, DoorbellClaimPublishGrainNeverWedges) {
+  DoorbellClaimGrainModel model;
+  std::string current_schedule;
+
+  std::vector<Side> sides;
+  for (std::uint32_t p = 0; p < DoorbellClaimGrainModel::kProducers; ++p) {
+    sides.push_back({Writer::kApplication,
+                     static_cast<char>('0' + p),
+                     {[&model, p] { model.Check(p); }, [&model, p] { model.Claim(p); },
+                      [&model, p] { model.Publish(p); }}});
+  }
+  sides.push_back({Writer::kEngine,
+                   'e',
+                   {[&] { model.EnginePop(current_schedule); },
+                    [&] { model.EnginePop(current_schedule); }}});
+  std::size_t total = 0;
+  for (const Side& side : sides) {
+    total += side.ops.size();
+  }
+
+  int schedules = 0;
+  ForAllInterleavings(
+      sides,
+      [&](const std::string& schedule) {
+        current_schedule = schedule;
+        if (schedule.size() == total) {
+          model.CheckLive(schedule);
+          ++schedules;
+        }
+      },
+      [&] { model.Reset(); });
+  EXPECT_EQ(schedules, 92400);  // 11! / (3! 3! 3! 2!)
 }
 
 // ---- Drop counter: engine drops vs application read-and-reset --------------

@@ -343,16 +343,13 @@ int RunSymbolPass(const std::string& manifest_path) {
 // ---- Source pass ------------------------------------------------------------
 
 // The documented seq_cst whitelist: exactly this many source lines in
-// src/base/locks.h may name memory_order_seq_cst —
-//   * the Peterson lock's two stores and two loads (the classic algorithm
-//     needs its store->load order; see the comment above PetersonLock);
-//   * ParkWakeFlag's two fences, the Dekker pair that lets an engine runner
-//     park without losing a wake: the parker stores `parked` then re-checks
-//     for work, the waker publishes work then loads `parked`, and only a
-//     full fence on each side orders a store before a later load of another
-//     location. Each is an explicit atomic_thread_fence, never a
-//     default-ordered access.
-constexpr int kExpectedSeqCstLines = 6;
+// src/base/locks.h may name memory_order_seq_cst — ParkWakeFlag's two
+// fences, the Dekker pair that lets an engine runner park without losing a
+// wake: the parker stores `parked` then re-checks for work, the waker
+// publishes work then loads `parked`, and only a full fence on each side
+// orders a store before a later load of another location. Each is an
+// explicit atomic_thread_fence, never a default-ordered access.
+constexpr int kExpectedSeqCstLines = 2;
 
 bool PathContains(const std::string& path, const char* fragment) {
   return path.find(fragment) != std::string::npos;
@@ -469,7 +466,7 @@ int CheckSourceFile(const std::string& path, const std::string& rel_path,
         ++violations;
         if (!quiet) {
           Fail(rel_path + ":" + std::to_string(line_number) +
-               ": memory_order_seq_cst outside the Peterson lock's documented "
+               ": memory_order_seq_cst outside the park/wake fences' documented "
                "whitelist (src/base/locks.h)");
         }
         continue;
@@ -493,8 +490,7 @@ int CheckSourceFile(const std::string& path, const std::string& rel_path,
     ++violations;
     if (!quiet) {
       Fail("src/base/locks.h: expected exactly " + std::to_string(kExpectedSeqCstLines) +
-           " memory_order_seq_cst lines (the Peterson lock and the park/wake "
-           "fences), found " +
+           " memory_order_seq_cst lines (the park/wake fences), found " +
            std::to_string(seq_cst_lines));
     }
   }

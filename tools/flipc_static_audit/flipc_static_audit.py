@@ -13,8 +13,8 @@ check for executions that actually happen:
   2. **Memory-order policy** — every atomic access names an explicit
      ``memory_order`` matching the per-field ordering kind exported from
      the ownership tables; defaulted (seq_cst) orders are hard errors, and
-     ``memory_order_seq_cst`` itself is confined to the Peterson lock and
-     the park/wake handshake's two fences (``src/base/locks.h``).
+     ``memory_order_seq_cst`` itself is confined to the park/wake
+     handshake's two fences (``src/base/locks.h``).
   3. **Hot-path purity, interprocedural** — inside ``FLIPC_HOT_PATH``
      scopes: no new/delete/throw/try, no OS mutex/condvar types, no
      blocking libc calls — and the same for every function transitively
@@ -617,7 +617,7 @@ def run_token_rules(
                 None,
                 "",
                 f"expected exactly {policy.seq_cst_expected} seq_cst accesses "
-                f"(the Peterson lock and the park/wake fences), "
+                f"(the park/wake fences), "
                 f"found {seq_total_in_allowed}",
             )
         )

@@ -1,6 +1,6 @@
 // Class heads that carry attribute macros — the shape of src/base/locks.h's
 // `class FLIPC_CAPABILITY("TasLock") TasLock` and
-// `class FLIPC_SCOPED_CAPABILITY PetersonGuard`. The frontend must skip the
+// src/base/thread_annotations.h's `class FLIPC_SCOPED_CAPABILITY ScopedLock`. The frontend must skip the
 // macro and name the methods after the real class: the closure findings
 // below name 'flipc::SpinLock::lock' and 'flipc::SpinGuard::Hold', not
 // 'flipc::FLIPC_CAPABILITY::lock'.

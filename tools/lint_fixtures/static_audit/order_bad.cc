@@ -24,7 +24,7 @@ struct Raw {
     word.store(1);  // AUDIT-EXPECT: defaulted memory_order
   }
 
-  // Explicit seq_cst is confined to the Peterson lock's file.
+  // Explicit seq_cst is confined to the park/wake fences' file.
   void StrayseqCst() {
     word.store(1, std::memory_order_seq_cst);  // AUDIT-EXPECT: memory_order_seq_cst outside
   }
