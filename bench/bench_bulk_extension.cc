@@ -53,13 +53,13 @@ double BulkMBps(std::size_t total_bytes, std::uint32_t message_size) {
   const std::uint32_t data_tx_index = data_tx->index();
   const std::uint32_t credit_rx_index = credit_rx->index();
   const std::uint32_t data_rx_index = data_rx->index();
+  // Both hooks fire before their buffer is reclaimable or acquirable, so
+  // the pumps and the poll run as events at the same virtual instant.
   cluster->engine(0).SetSendCompleteHook([&](std::uint32_t endpoint) {
     if (endpoint == data_tx_index) {
-      sender->Pump();
+      cluster->sim().ScheduleAfter(0, [&] { sender->Pump(); });
     }
   });
-  // The receive hook fires before the delivered message is acquirable, so
-  // the pump and the poll run as events at the same virtual instant.
   cluster->engine(0).SetReceiveHook([&](std::uint32_t endpoint, bool delivered) {
     if (endpoint == credit_rx_index && delivered) {
       cluster->sim().ScheduleAfter(0, [&] { sender->Pump(); });

@@ -34,7 +34,7 @@
 //     hot-path objects for undefined references to allocation, pthread and
 //     blocking libc entry points, and enforces the source-level atomics
 //     discipline (no raw std::atomic outside src/waitfree/ and
-//     src/base/locks.h; seq_cst only in the park/wake fences). The runtime
+//     src/base/locks.h; no seq_cst anywhere). The runtime
 //     guards catch what symbols cannot (an allocation on a cold branch of
 //     a hot TU is fine; one inside an armed scope is not), and vice versa.
 //

@@ -9,8 +9,8 @@
 // variants; the cost model charges for that.
 //
 // Also here: ParkWakeFlag, the Dekker-style handshake that lets an idle
-// engine runner sleep without a waker ever taking a lock to find out that
-// the runner is awake.
+// engine runner sleep without a waker ever taking a lock, or executing a
+// fence, to find out that the runner is awake.
 #ifndef SRC_BASE_LOCKS_H_
 #define SRC_BASE_LOCKS_H_
 
@@ -70,43 +70,73 @@ class FLIPC_CAPABILITY("TasLock") TasLock {
 
 // The park/wake handshake between one parking thread (an engine runner
 // about to sleep) and any number of wakers (application sends, fabric
-// deliveries). A Dekker pair: each side stores its own word, fences, and
-// reads the other side's.
+// deliveries, wire-ring drains). A Dekker pair: each side stores its own
+// word, orders that store before reading the other side's word, and
+// reads it.
 //
-//   waker:  publish work (release stores);   WakeNeeded(): fence, load parked
-//   parker: AnnouncePark(): store parked, fence;   re-check for work
+//   waker:  publish work (release stores);  WakeNeeded(): compiler barrier,
+//           load parked
+//   parker: AnnouncePark(): store parked, process-wide barrier;
+//           re-check for work
 //
-// If the parker's re-check misses the work, the two fences order the
-// parker's store before the waker's load, so the waker sees `parked` and
-// must deliver a wake (under whatever lock the sleep itself uses). No
-// interleaving lets both miss — tests/model_check_test.cc enumerates them.
-// A waker that finds the runner running pays one fence and one load.
+// The pair is asymmetric, because wakes are frequent and parks are rare
+// (one park per ~10^4 messages on a stream). The waker pays no fence at
+// all: a compiler barrier keeps its load after its publishing stores in
+// program order, and nothing more. The parker pays for both sides:
+// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) makes every thread of this
+// process that is running at that moment execute a full memory barrier
+// before the call returns (a thread that is not running passes one when
+// it is switched out or in). So for any waker, either its publishing
+// stores drained before that barrier point, and the parker's re-check,
+// which follows the call, sees the work; or its parked load comes after
+// the barrier point, which follows the parker's store, and it sees the
+// announce and must deliver a wake (under whatever lock the sleep itself
+// uses). No interleaving lets both miss; tests/model_check_test.cc
+// enumerates them and tests/park_wake_litmus_test.cc drives the pair on
+// real threads. This is the asymmetric-fence argument of liburcu and of
+// folly's asymmetric_thread_fence_heavy/light.
 //
-// seq_cst whitelist (tools/flipc_hotpath_lint): the two fences below are
-// the only sequentially consistent operations the lint permits anywhere.
-// A store->load ordering across two threads is exactly what
-// acquire/release cannot give, so they cannot be weakened; and they must
-// stay explicit fences, never hidden inside default-ordered atomics.
+// Platform: Linux >= 4.14 (membarrier's private expedited command). The
+// process registers for it once, at the first EngineRunner::Start (or the
+// first park, whichever comes first); a kernel that refuses aborts the
+// process with a message naming the requirement. There is no fallback
+// fence: one handshake, one proof. It covers the threads of THIS process
+// only; wakers in other processes (applications attached to a shared
+// communication buffer) would need MEMBARRIER_CMD_GLOBAL_EXPEDITED, with
+// each of them registering at attach.
 class ParkWakeFlag {
  public:
+  // Registers this process for the parker's barrier. Idempotent and
+  // thread-safe: only the first call asks the kernel. Aborts, naming the
+  // requirement, if the kernel refuses.
+  static void RegisterProcess();
+
   // Parker: announce the park. The caller must then re-check for work
   // (and for a stop request) before it sleeps.
   void AnnouncePark() {
     parked_.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    ProcessWideBarrier();
   }
 
   // Parker: back to running (after waking, or when the re-check found work).
   void ClearPark() { parked_.store(false, std::memory_order_relaxed); }
 
   // Waker, after publishing work: whether the parker may be asleep (or
-  // about to sleep) and must be woken.
+  // about to sleep) and must be woken. A compiler barrier and one load.
   bool WakeNeeded() const {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    CompilerBarrier();
     return parked_.load(std::memory_order_relaxed);
   }
 
  private:
+  // Keeps the compiler from moving memory accesses across it; emits no
+  // instruction.
+  static void CompilerBarrier() { asm volatile("" ::: "memory"); }
+
+  // membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED): a full barrier on every
+  // running thread of the process. Registers first if nothing has.
+  static void ProcessWideBarrier();
+
   std::atomic<bool> parked_{false};
 };
 

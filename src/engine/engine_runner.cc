@@ -16,6 +16,7 @@ void EngineRunner::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return;
   }
+  ParkWakeFlag::RegisterProcess();
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { Loop(); });
@@ -84,8 +85,9 @@ void EngineRunner::Park() {
   // once this thread is really waiting (or has given up the park).
   std::unique_lock<std::mutex> lock(waker_.mutex_);
   waker_.flag_.AnnouncePark();
-  // The re-check: work (or a stop) published before a waker's fence is
-  // visible here, or that waker sees the announce and wakes us.
+  // The re-check: work (or a stop) that a waker published before the
+  // announce's process-wide barrier reached it is visible here; a waker
+  // the barrier reached first sees the announce and wakes us.
   if (stop_.load(std::memory_order_acquire) || engine_.HasWork()) {
     waker_.flag_.ClearPark();
     return;

@@ -19,7 +19,7 @@ namespace flipc::engine {
 // runners that park on it (a Cluster node keeps one across
 // KillEngine/RestartEngine). Application sends and fabric deliveries call
 // Wake() after publishing work; a runner that is running costs them one
-// fence and one load (ParkWakeFlag), and only a runner that announced a
+// load, with no fence (ParkWakeFlag), and only a runner that announced a
 // park costs a lock and a notify.
 class EngineWaker {
  public:
@@ -67,6 +67,9 @@ class EngineRunner {
   EngineRunner(const EngineRunner&) = delete;
   EngineRunner& operator=(const EngineRunner&) = delete;
 
+  // Starts the loop thread. The first Start in a process registers it for
+  // the park's process-wide barrier (ParkWakeFlag::RegisterProcess) and
+  // aborts, naming the requirement, if the kernel refuses.
   void Start();
   void Stop();
 
@@ -83,7 +86,7 @@ class EngineRunner {
   std::uint64_t idle_parks() const { return idle_parks_.load(std::memory_order_relaxed); }
 
   // Parks that ended in a wake (rather than the park timeout). Wakes aimed
-  // at a running loop cost a fence and a load and are not counted, so on a
+  // at a running loop cost one load and are not counted, so on a
   // busy node this stays near zero however many sends and deliveries
   // there are.
   std::uint64_t kicks() const { return kicks_.load(std::memory_order_relaxed); }

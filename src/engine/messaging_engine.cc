@@ -748,8 +748,7 @@ bool MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     // make progress (a non-advancing return here would spin the event
     // loop forever), so consume the slot as a rejection.
     ++stats_.validity_rejections;
-    telemetry.RecordEngineReject();
-    CompleteSend(endpoint_index);
+    RejectSend(endpoint_index, telemetry);
     return true;
   }
 
@@ -758,8 +757,7 @@ bool MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   // are off, because an out-of-range index would crash the engine rather
   // than merely corrupt the offending application's own data.
   if (!ValidateSendBuffer(endpoint_index, buffer)) {
-    telemetry.RecordEngineReject();
-    CompleteSend(endpoint_index);
+    RejectSend(endpoint_index, telemetry);
     return true;
   }
 
@@ -770,8 +768,7 @@ bool MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
 
   if (options_.validity_checks && !dst.valid()) {
     ++stats_.validity_rejections;
-    telemetry.RecordEngineReject();
-    CompleteSend(endpoint_index);
+    RejectSend(endpoint_index, telemetry);
     return true;
   }
 
@@ -782,12 +779,20 @@ bool MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
   const Address allowed = Address::FromPacked(record.allowed_peer.ReadRelaxed());
   if (allowed.valid() && dst != allowed) {
     ++stats_.protection_rejections;
-    telemetry.RecordEngineReject();
     Trace(TraceEvent::kEngineReject, endpoint_index);
-    CompleteSend(endpoint_index);
+    RejectSend(endpoint_index, telemetry);
     return true;
   }
 
+  // Asked per message, not only for the planned head: a batch can fill the
+  // ring part-way. This engine is the ring's only producer, so room found
+  // here is still there at the send, and the hook below fires once.
+  if (wire_.BackPressured(dst.node())) {
+    return false;  // Nothing consumed, nothing counted: the head stays queued.
+  }
+  // Stamp, then publish: the send hook (a tracer's "sent" stamp) runs
+  // before the destination can see the frame.
+  ObserveSend(endpoint_index);
   const TransmitOutcome outcome = TransmitMessage(endpoint_index, buffer, src, dst, cost);
   if (outcome == TransmitOutcome::kBackPressured) {
     return false;  // Nothing consumed, nothing counted: the head stays queued.
@@ -897,11 +902,21 @@ void MessagingEngine::CompleteSend(std::uint32_t endpoint_index) {
     semaphores_->Signal(record.semaphore_id.ReadRelaxed());
     ++stats_.semaphore_signals;
   }
+}
+
+void MessagingEngine::ObserveSend(std::uint32_t endpoint_index) {
   if (send_complete_hook_) {
     // Test/driver observation hook: arbitrary user code, off the product path.
     FLIPC_HOT_PATH_EXEMPT("observation hook");
     send_complete_hook_(endpoint_index);
   }
+}
+
+void MessagingEngine::RejectSend(std::uint32_t endpoint_index,
+                                 shm::TelemetryBlock& telemetry) {
+  telemetry.RecordEngineReject();
+  CompleteSend(endpoint_index);
+  ObserveSend(endpoint_index);
 }
 
 void MessagingEngine::DeliverLocal(const simnet::Packet& packet, simnet::CostAccumulator&) {

@@ -276,7 +276,14 @@ class MessagingEngine {
     receive_hook_ = std::move(hook);
   }
 
-  // Fired after a send buffer completes (is re-acquirable by the app).
+  // Fired once per processed send. A transmitted send fires it just
+  // before the engine hands the packet to the wire, so it precedes
+  // anything the destination can observe, but also the completion: the
+  // buffer is not yet re-acquirable, and a hook that needs it must defer
+  // its work (the simulation drivers schedule it). A rejected send fires it
+  // after its completion. Exactly once assumes a wire that reports a full
+  // ring through BackPressured; one that hides it (a decorator not
+  // forwarding it) can refuse after the hook, and the retry fires it again.
   void SetSendCompleteHook(std::function<void(std::uint32_t endpoint)> hook) {
     send_complete_hook_ = std::move(hook);
   }
@@ -390,6 +397,13 @@ class MessagingEngine {
   // (not planned, not in HasWork, not counted) until the consumer drains
   // the ring, and that drain wakes this engine (ThreadFabric).
   bool HeadBackPressured(std::uint32_t endpoint) const;
+
+  // Runs the send-complete hook, if one is set.
+  void ObserveSend(std::uint32_t endpoint_index);
+
+  // Consumes the head send of `endpoint_index` without transmitting it:
+  // counts the reject, completes the send and fires the send hook.
+  void RejectSend(std::uint32_t endpoint_index, shm::TelemetryBlock& telemetry);
 
   TimeNs NowForThrottle() const {
     return clock_ != nullptr ? clock_->NowNs() : 0;

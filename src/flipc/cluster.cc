@@ -28,8 +28,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
     // Sends, fabric deliveries and drains of the node's outbound rings all
     // wake the node's engine through the node's waker, which outlives every
     // runner: between KillEngine and RestartEngine nothing is parked on it,
-    // so a kick costs a fence and a load and wakes nobody. No lock is taken
-    // unless a runner is parked.
+    // so a kick costs one load and wakes nobody. No lock is taken, and no
+    // fence executed, unless a runner is parked.
     engine::EngineWaker* waker = &node->waker;
     const auto kick = [waker] { waker->Wake(); };
     node->domain->SetEngineKick(kick);

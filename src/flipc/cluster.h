@@ -11,8 +11,8 @@
 //
 // Both wire the kick paths: Domain::KickEngine() (after sends) and the
 // fabric delivery callback both wake the node's engine. In a Cluster a
-// kick goes to the node's EngineWaker, which costs a fence and a load
-// unless the node's runner is parked.
+// kick goes to the node's EngineWaker, which costs one load unless the
+// node's runner is parked.
 #ifndef SRC_FLIPC_CLUSTER_H_
 #define SRC_FLIPC_CLUSTER_H_
 

@@ -62,9 +62,9 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
     domain_->TraceApi(TraceEvent::kApiSend, index_, buffer.index());
     {
       // Kicking the engine out of its idle park is a host-thread artifact
-      // (a fence and a load, plus a lock and a notify when the engine is
-      // parked); on the Paragon the engine is a co-processor that is simply
-      // running. Not a Paragon-path cost.
+      // (one load, plus a lock and a notify when the engine is parked); on
+      // the Paragon the engine is a co-processor that is simply running.
+      // Not a Paragon-path cost.
       FLIPC_HOT_PATH_EXEMPT("engine kick: host-thread parking artifact");
       domain_->KickEngine();
     }

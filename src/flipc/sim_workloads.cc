@@ -213,9 +213,11 @@ class StreamActor {
       FLIPC_RETURN_IF_ERROR(rx_.PostBuffer(buffer));
     }
 
+    // The send hook fires before the completion that makes the buffer
+    // reclaimable, so the reclaim runs as an event at the same instant.
     cluster_.engine(config_.sender).SetSendCompleteHook([this](std::uint32_t endpoint) {
       if (endpoint == tx_.index()) {
-        OnSendComplete();
+        cluster_.sim().ScheduleAfter(0, [this] { OnSendComplete(); });
       }
     });
     cluster_.engine(config_.receiver)

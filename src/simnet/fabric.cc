@@ -276,8 +276,8 @@ class ThreadFabric::ThreadWire final : public Wire {
       ring.Pop();
       if (ring.Drained()) {
         // The source's engine may be parked on this ring, full when it
-        // last looked; its wake fences after the Pop above, pairing with
-        // the park's re-check of BackPressured.
+        // last looked; its wake reads the park flag after the Pop above,
+        // pairing with the park's barrier and re-check of BackPressured.
         const std::function<void()>& wake_source = fabric_.wires_[src].delivery_callback_;
         if (wake_source) {
           wake_source();

@@ -84,11 +84,7 @@ class DoorbellRingView {
   DoorbellRingView() = default;
   DoorbellRingView(DoorbellCursors* cursors, SingleWriterCell<std::uint64_t>* cells,
                    std::uint32_t capacity)
-      : cursors_(cursors), cells_(cells), mask_(capacity - 1), capacity_(capacity) {
-    while ((capacity >>= 1) != 0) {
-      ++shift_;
-    }
-  }
+      : cursors_(cursors), cells_(cells), mask_(capacity - 1), capacity_(capacity) {}
 
   bool valid() const { return cursors_ != nullptr; }
   std::uint32_t capacity() const { return capacity_; }
@@ -229,12 +225,16 @@ class DoorbellRingView {
   }
 
  private:
-  // Lap tag for position `pos`: lap number + 1, so a zero-initialized cell
-  // (tag 0) never matches any expected tag. Positions and tags both wrap
-  // mod 2^32; the wrap-aware comparison in Pop() keeps ordering coherent
-  // (the once-per-2^32-rings tag discontinuity at worst loses one ring of
-  // doorbells to the backstop sweep).
-  std::uint32_t ExpectedTag(std::uint32_t pos) const { return (pos >> shift_) + 1; }
+  // Lap tag for position `pos`: the first position of the NEXT lap. Tags
+  // are positions, so they wrap mod 2^32 exactly as the cursors do, and
+  // the signed differences in Pop() order them across the 2^32 wrap (one
+  // lap apart is always +-capacity). A tag that counted laps would wrap at
+  // 2^(32 - log2 capacity) instead, and at the position wrap every stale
+  // cell would read as a future lap. A zero-initialized cell (tag 0) reads
+  // as stale throughout the first half of the position range; by the last
+  // lap before the wrap, where 0 is the expected tag, every cell has been
+  // published (the ring starts at position 0 with zeroed cells).
+  std::uint32_t ExpectedTag(std::uint32_t pos) const { return (pos | mask_) + 1; }
 
   // True when the slot at `head` still holds an older lap's tag although a
   // full lap of positions past it is claimed. Below full, a stale tag is
@@ -259,7 +259,6 @@ class DoorbellRingView {
   SingleWriterCell<std::uint64_t>* cells_ = nullptr;
   std::uint32_t mask_ = 0;
   std::uint32_t capacity_ = 0;
-  std::uint32_t shift_ = 0;
 };
 
 // Owning ring for unit tests and the model checker; the production ring

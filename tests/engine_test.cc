@@ -892,6 +892,29 @@ TEST(EngineBackPressure, RefusedAtCommitCountsNothing) {
   rig.FinishAndCheck(sender);
 }
 
+// Stamp, then publish, on the send side: the send hook runs before the
+// frame is in the destination's ring, so a tracer's "sent" stamp never
+// trails the delivery. It runs once per message, also for the messages a
+// full ring held back and a later step sent.
+TEST(EngineBackPressure, SendHookRunsOnceBeforeTheFrameIsPublished) {
+  constexpr std::uint32_t kDepth = BackPressureRig::kDepth;
+  BackPressureRig rig;
+  MessagingEngine sender(rig.domains[0]->comm(), rig.fabric.wire(0), EngineOptions());
+  std::vector<std::size_t> published_at_hook;
+  sender.SetSendCompleteHook([&](std::uint32_t endpoint) {
+    EXPECT_EQ(endpoint, rig.tx->index());
+    published_at_hook.push_back(rig.fabric.wire(1).PendingCount());
+  });
+
+  BackPressureRig::StepUntilIdle(sender);
+  ASSERT_EQ(published_at_hook.size(), kDepth);
+  rig.FinishAndCheck(sender);  // The consumer drains the full ring first.
+  ASSERT_EQ(published_at_hook.size(), BackPressureRig::kMessages);
+  for (std::uint32_t i = 0; i < BackPressureRig::kMessages; ++i) {
+    EXPECT_EQ(published_at_hook[i], i < kDepth ? i : i - kDepth) << i;
+  }
+}
+
 // Step() plans once: an idle Step() runs one outbound plan, where the
 // commit used to plan (and sweep) a second time.
 TEST_F(EngineTest, IdleStepPlansOnce) {

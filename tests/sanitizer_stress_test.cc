@@ -16,6 +16,7 @@
 // ownership race detector's job (FLIPC_CHECK_SINGLE_WRITER builds); the
 // death tests below prove it fires, with a diagnostic naming the cell, the
 // declared owner, and the offending role.
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -34,6 +35,32 @@ namespace {
 
 // ---- Real-thread stress ----------------------------------------------------
 
+// An out-of-order value seen on one side of a two-thread test. A failed
+// ASSERT inside a std::thread ends only that thread and leaves the other
+// one waiting for it forever, so each side records its first mismatch
+// here, raises the shared stop flag and returns; the test asserts on the
+// main thread after the join.
+struct Mismatch {
+  bool seen = false;
+  std::uint64_t expected = 0;
+  std::uint64_t got = 0;
+
+  void Record(std::uint64_t want, std::uint64_t value, std::atomic<bool>& stop) {
+    seen = true;
+    expected = want;
+    got = value;
+    stop.store(true, std::memory_order_release);
+  }
+};
+
+::testing::AssertionResult InOrder(const Mismatch& m, const char* side) {
+  if (!m.seen) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << side << " saw " << m.got << " where " << m.expected << " was due";
+}
+
 // The ownership checker takes a registry lock per store; keep the armed
 // configuration's iteration counts small enough to finish promptly while
 // the plain and sanitizer builds get the full hammering.
@@ -49,20 +76,26 @@ TEST(SanitizerStress, QueueAppVsEngineThreads) {
   constexpr std::uint32_t kCapacity = 8;
   constexpr std::uint32_t kMessages = kQueueMessages;
   InlineBufferQueue<kCapacity> queue;
+  std::atomic<bool> stop{false};
+  Mismatch engine_mismatch;
+  Mismatch app_mismatch;
 
   // Engine thread: peek + advance every released buffer, checking FIFO.
-  std::thread engine([&queue] {
+  std::thread engine([&] {
     BoundaryRole::BindCurrentThread(Writer::kEngine);
     test_util::PollBackoff backoff;
     std::uint32_t processed = 0;
-    while (processed < kMessages) {
+    while (processed < kMessages && !stop.load(std::memory_order_acquire)) {
       const BufferIndex value = queue.view().PeekProcess();
       if (value == kInvalidBuffer) {
         backoff.Idle();
         continue;
       }
       backoff.Reset();
-      ASSERT_EQ(value, processed) << "engine saw out-of-order release";
+      if (value != processed) {
+        engine_mismatch.Record(processed, value, stop);
+        break;
+      }
       queue.view().AdvanceProcess();
       ++processed;
     }
@@ -74,19 +107,24 @@ TEST(SanitizerStress, QueueAppVsEngineThreads) {
   BoundaryRole::BindCurrentThread(Writer::kApplication);
   std::uint32_t released = 0;
   std::uint32_t acquired = 0;
-  while (acquired < kMessages) {
+  while (acquired < kMessages && !stop.load(std::memory_order_acquire)) {
     if (released < kMessages && queue.view().Release(released)) {
       ++released;
     }
     const BufferIndex value = queue.view().Acquire();
     if (value != kInvalidBuffer) {
-      ASSERT_EQ(value, acquired) << "application acquired out of order";
+      if (value != acquired) {
+        app_mismatch.Record(acquired, value, stop);
+        break;
+      }
       ++acquired;
     }
   }
   BoundaryRole::UnbindCurrentThread();
   engine.join();
 
+  ASSERT_TRUE(InOrder(engine_mismatch, "engine (processing releases)"));
+  ASSERT_TRUE(InOrder(app_mismatch, "application (acquiring)"));
   EXPECT_EQ(queue.view().Size(), 0u);
   EXPECT_EQ(queue.view().release_count(), kMessages);
   EXPECT_EQ(queue.view().process_count(), kMessages);
@@ -124,13 +162,15 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
   constexpr std::uint32_t kCapacity = 16;
   constexpr std::uint32_t kDoorbells = kQueueMessages;
   InlineDoorbellRing<kCapacity> ring;
+  std::atomic<bool> stop{false};
+  Mismatch engine_mismatch;
 
   // Engine thread: pop every successfully-rung doorbell, checking FIFO (the
   // app never overshoots the soft-full check here — single producer — so no
   // doorbell may be lost, duplicated, or reordered). Overflow refusals are
   // acknowledged the way the engine's backstop does; the refused doorbell
   // itself was never published, the application below retries it.
-  std::thread engine([&ring] {
+  std::thread engine([&] {
     BoundaryRole::BindCurrentThread(Writer::kEngine);
     test_util::PollBackoff backoff;
     std::uint32_t next = 0;
@@ -144,7 +184,10 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
         continue;
       }
       backoff.Reset();
-      ASSERT_EQ(value, next) << "engine popped doorbells out of order";
+      if (value != next) {
+        engine_mismatch.Record(next, value, stop);
+        break;
+      }
       ++next;
     }
     BoundaryRole::UnbindCurrentThread();
@@ -152,10 +195,11 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
 
   // Application thread (this one): ring sequential values; a refusal (full
   // ring) is retried, which also exercises the overflow signal under load.
+  // An engine-side failure stops the retries.
   BoundaryRole::BindCurrentThread(Writer::kApplication);
   test_util::PollBackoff backoff;
-  for (std::uint32_t i = 0; i < kDoorbells; ++i) {
-    while (!ring.view().Ring(i)) {
+  for (std::uint32_t i = 0; i < kDoorbells && !stop.load(std::memory_order_acquire); ++i) {
+    while (!ring.view().Ring(i) && !stop.load(std::memory_order_acquire)) {
       backoff.Idle();
     }
     backoff.Reset();
@@ -163,6 +207,7 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
   BoundaryRole::UnbindCurrentThread();
   engine.join();
 
+  ASSERT_TRUE(InOrder(engine_mismatch, "engine (popping doorbells)"));
   EXPECT_EQ(ring.view().PendingCount(), 0u);
   EXPECT_FALSE(ring.view().HasPending());
 }

@@ -13,6 +13,7 @@
 
 #include "src/base/rng.h"
 #include "src/waitfree/buffer_queue.h"
+#include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
 #include "src/waitfree/msg_state.h"
 #include "src/waitfree/single_writer.h"
@@ -335,6 +336,68 @@ TEST(QueueCursors, WriterLinesDoNotOverlap) {
   const auto app_line = reinterpret_cast<std::uintptr_t>(&cursors.release_count);
   const auto engine_line = reinterpret_cast<std::uintptr_t>(&cursors.process_count);
   EXPECT_GE(engine_line - app_line, kCacheLineSize);
+}
+
+// ------------------------------- DoorbellRing -------------------------------
+
+// A capacity-8 doorbell ring whose cursors start at `start` - 8, with one
+// full lap rung and popped, so every cell holds the tag a ring that had
+// been running since position 0 would hold there.
+struct WarmDoorbellRing {
+  static constexpr std::uint32_t kCapacity = 8;
+
+  explicit WarmDoorbellRing(std::uint32_t start) {
+    cursors.ring_tail.store(start - kCapacity, std::memory_order_relaxed);
+    cursors.ring_head.StoreRelaxed(start - kCapacity);
+    for (std::uint32_t i = 0; i < kCapacity; ++i) {
+      EXPECT_TRUE(view.Ring(100 + i));
+    }
+    for (std::uint32_t i = 0; i < kCapacity; ++i) {
+      EXPECT_EQ(view.Pop(), 100 + i);
+    }
+  }
+
+  DoorbellCursors cursors;
+  SingleWriterCell<std::uint64_t> cells[kCapacity] = {};
+  DoorbellRingView view{&cursors, cells, kCapacity};
+};
+
+// Positions and lap tags wrap together at 2^32: a stale cell from the last
+// lap before the wrap must still read as stale (an empty Pop returns at
+// once) and a fresh one as current, never as a future lap to skip.
+TEST(DoorbellRing, RingPopAcrossPositionWrap) {
+  WarmDoorbellRing ring(0u - 16);
+  DoorbellRingView& view = ring.view;
+  for (std::uint32_t i = 0; i < 4 * WarmDoorbellRing::kCapacity; ++i) {
+    ASSERT_TRUE(view.Ring(i)) << "step " << i;
+    ASSERT_TRUE(view.HasPending()) << "step " << i;
+    ASSERT_EQ(view.Pop(), i) << "step " << i;
+    ASSERT_FALSE(view.HasPending()) << "step " << i;
+    ASSERT_EQ(view.Pop(), kInvalidDoorbell) << "step " << i;
+  }
+  EXPECT_EQ(ring.cursors.ring_head.Read(), 16u);
+  EXPECT_FALSE(view.OverflowPending());
+}
+
+// A full ring whose positions straddle the wrap refuses the next ring (and
+// raises the overflow signal), then drains in order and reads empty.
+TEST(DoorbellRing, FullRingAcrossPositionWrap) {
+  WarmDoorbellRing ring(0u - 4);
+  DoorbellRingView& view = ring.view;
+  for (std::uint32_t i = 0; i < WarmDoorbellRing::kCapacity; ++i) {
+    ASSERT_TRUE(view.Ring(i));
+  }
+  EXPECT_EQ(view.PendingCount(), WarmDoorbellRing::kCapacity);
+  EXPECT_FALSE(view.Ring(99));
+  EXPECT_TRUE(view.OverflowPending());
+  for (std::uint32_t i = 0; i < WarmDoorbellRing::kCapacity; ++i) {
+    ASSERT_EQ(view.Pop(), i);
+  }
+  EXPECT_EQ(view.Pop(), kInvalidDoorbell);
+  EXPECT_EQ(ring.cursors.ring_head.Read(), 4u);
+  ASSERT_TRUE(view.Ring(7));
+  EXPECT_EQ(view.Pop(), 7u);
+  EXPECT_EQ(view.Pop(), kInvalidDoorbell);
 }
 
 // ------------------------------- SpscFrameRing ------------------------------

@@ -25,10 +25,10 @@
 //     discipline: raw `std::atomic` / `memory_order_` tokens are forbidden
 //     outside src/waitfree/ and src/base/locks.h except for files in the
 //     curated allowlist (tools/hotpath_lint_allowlist.txt, each with a
-//     reason), and `memory_order_seq_cst` is forbidden everywhere except
-//     the documented whitelist in src/base/locks.h (exactly
-//     kExpectedSeqCstLines lines — a new seq_cst access anywhere, including
-//     locks.h, must be argued past this lint).
+//     reason), and `memory_order_seq_cst` is forbidden everywhere,
+//     locks.h included: the park/wake handshake, the one store->load
+//     ordering the protocol needs, gets it from the parker's membarrier, so
+//     a new seq_cst access anywhere must be argued past this lint.
 //
 // Modes:
 //   flipc_hotpath_lint --manifest M --source-root DIR --allowlist F
@@ -342,15 +342,6 @@ int RunSymbolPass(const std::string& manifest_path) {
 
 // ---- Source pass ------------------------------------------------------------
 
-// The documented seq_cst whitelist: exactly this many source lines in
-// src/base/locks.h may name memory_order_seq_cst — ParkWakeFlag's two
-// fences, the Dekker pair that lets an engine runner park without losing a
-// wake: the parker stores `parked` then re-checks for work, the waker
-// publishes work then loads `parked`, and only a full fence on each side
-// orders a store before a later load of another location. Each is an
-// explicit atomic_thread_fence, never a default-ordered access.
-constexpr int kExpectedSeqCstLines = 2;
-
 bool PathContains(const std::string& path, const char* fragment) {
   return path.find(fragment) != std::string::npos;
 }
@@ -451,26 +442,20 @@ int CheckSourceFile(const std::string& path, const std::string& rel_path,
     }
     return 0;
   }
-  const bool is_locks_h = rel_path == "src/base/locks.h";
   int violations = 0;
-  int seq_cst_lines = 0;
   int line_number = 0;
   std::string line;
   while (std::getline(file, line)) {
     ++line_number;
-    const bool has_seq_cst = line.find("memory_order_seq_cst") != std::string::npos;
-    if (has_seq_cst) {
-      if (is_locks_h) {
-        ++seq_cst_lines;
-      } else {
-        ++violations;
-        if (!quiet) {
-          Fail(rel_path + ":" + std::to_string(line_number) +
-               ": memory_order_seq_cst outside the park/wake fences' documented "
-               "whitelist (src/base/locks.h)");
-        }
-        continue;
+    if (line.find("memory_order_seq_cst") != std::string::npos) {
+      ++violations;
+      if (!quiet) {
+        Fail(rel_path + ":" + std::to_string(line_number) +
+             ": memory_order_seq_cst is forbidden (the one store->load ordering "
+             "the protocol needs, the park/wake handshake's, comes from the "
+             "parker's membarrier in src/base/locks.h)");
       }
+      continue;
     }
     if (atomics_allowed) {
       continue;
@@ -484,14 +469,6 @@ int CheckSourceFile(const std::string& path, const std::string& rel_path,
              "src/base/locks.h (use SingleWriterCell, or add the file to "
              "tools/hotpath_lint_allowlist.txt with a reason)");
       }
-    }
-  }
-  if (is_locks_h && seq_cst_lines != kExpectedSeqCstLines) {
-    ++violations;
-    if (!quiet) {
-      Fail("src/base/locks.h: expected exactly " + std::to_string(kExpectedSeqCstLines) +
-           " memory_order_seq_cst lines (the park/wake fences), found " +
-           std::to_string(seq_cst_lines));
     }
   }
   return violations;

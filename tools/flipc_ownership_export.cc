@@ -123,11 +123,6 @@ int main(int argc, char** argv) {
                 static_cast<std::size_t>(flipc::kCacheLineSize));
   e.out += line;
 
-  // seq_cst is confined to the park/wake handshake's two fences; the count
-  // matches tools/flipc_hotpath_lint.cc (kExpectedSeqCstLines).
-  e.out +=
-      "  \"seq_cst\": {\"file\": \"src/base/locks.h\", \"expected_count\": 2},\n";
-
   e.ListStart("fields");
   EmitTable(e, flipc::shm::kEndpointRecordOwnership);
   EmitTable(e, flipc::shm::kTelemetryBlockOwnership);

@@ -13,8 +13,8 @@ check for executions that actually happen:
   2. **Memory-order policy** — every atomic access names an explicit
      ``memory_order`` matching the per-field ordering kind exported from
      the ownership tables; defaulted (seq_cst) orders are hard errors, and
-     ``memory_order_seq_cst`` itself is confined to the park/wake
-     handshake's two fences (``src/base/locks.h``).
+     ``memory_order_seq_cst`` itself is forbidden everywhere (the park/wake
+     handshake orders with membarrier, ``src/base/locks.h``).
   3. **Hot-path purity, interprocedural** — inside ``FLIPC_HOT_PATH``
      scopes: no new/delete/throw/try, no OS mutex/condvar types, no
      blocking libc calls — and the same for every function transitively
@@ -164,9 +164,6 @@ class Policy:
             else:
                 self.struct_aliases[key] = row["field"]
         self.alternating_members: set[str] = set(doc.get("alternating_members", []))
-        seq = doc.get("seq_cst", {})
-        self.seq_cst_file: str = seq.get("file", "")
-        self.seq_cst_expected: int = int(seq.get("expected_count", 0))
 
     def _lookup_alias(self, table: dict, klass: str, key: str) -> str | None:
         return table.get((klass, key)) or table.get(("*", key))
@@ -582,45 +579,24 @@ def gather_facts(paths: list[tuple[str, str]]) -> list[tuple[str, FileFacts]]:
     return out
 
 
-def run_token_rules(
-    facts: list[tuple[str, FileFacts]], policy: Policy
-) -> list[Finding]:
-    """Whole-file token rules: seq_cst confinement and
-    hot-path purity (per-scope, per-line attribution)."""
+def run_token_rules(facts: list[tuple[str, FileFacts]]) -> list[Finding]:
+    """Whole-file token rules: no seq_cst anywhere, and hot-path purity
+    (per-scope, per-line attribution)."""
     findings: list[Finding] = []
-    seq_total_in_allowed = 0
-    allowed_present = False
     for rel, f in facts:
         for vfile, vline, what in f.hot_violations:
             findings.append(Finding("hot-path", vfile, vline, "", what))
-        allowed = rel.replace("\\", "/") == policy.seq_cst_file
-        allowed_present = allowed_present or allowed
         for site_rel, line in f.seq_sites:
-            if allowed:
-                seq_total_in_allowed += 1
-            else:
-                findings.append(
-                    Finding(
-                        "order",
-                        site_rel,
-                        line,
-                        "",
-                        f"memory_order_seq_cst outside "
-                        f"{policy.seq_cst_file or 'the whitelisted file'}",
-                    )
+            findings.append(
+                Finding(
+                    "order",
+                    site_rel,
+                    line,
+                    "",
+                    "memory_order_seq_cst is forbidden (the park/wake "
+                    "handshake orders with membarrier, src/base/locks.h)",
                 )
-    if allowed_present and seq_total_in_allowed != policy.seq_cst_expected:
-        findings.append(
-            Finding(
-                "order",
-                policy.seq_cst_file,
-                None,
-                "",
-                f"expected exactly {policy.seq_cst_expected} seq_cst accesses "
-                f"(the park/wake fences), "
-                f"found {seq_total_in_allowed}",
             )
-        )
     return findings
 
 
@@ -723,7 +699,7 @@ def audit_paths(
     ir = merge_facts(facts)
     findings = run_rules(ir, policy)
     findings.extend(run_closure_rules(ir))
-    findings.extend(run_token_rules(facts, policy))
+    findings.extend(run_token_rules(facts))
     return sorted(set(findings), key=str), ir
 
 

@@ -1,7 +1,7 @@
 // Seeded-violation fixture for the flipc_hotpath_lint SELFTEST source pass.
 // Never compiled; the lint reads it as text. It violates both source rules:
 // raw std::atomic usage outside src/waitfree//src/base/locks.h, and a
-// memory_order_seq_cst access outside the park/wake fence whitelist.
+// memory_order_seq_cst access, which no source file may contain.
 #include <atomic>
 
 namespace flipc_lint_fixture {

@@ -24,8 +24,8 @@ struct Raw {
     word.store(1);  // AUDIT-EXPECT: defaulted memory_order
   }
 
-  // Explicit seq_cst is confined to the park/wake fences' file.
+  // Explicit seq_cst is forbidden everywhere.
   void StrayseqCst() {
-    word.store(1, std::memory_order_seq_cst);  // AUDIT-EXPECT: memory_order_seq_cst outside
+    word.store(1, std::memory_order_seq_cst);  // AUDIT-EXPECT: memory_order_seq_cst is forbidden
   }
 };
