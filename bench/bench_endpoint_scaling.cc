@@ -5,9 +5,9 @@
 // number of endpoint slots even when only a handful are active. The
 // doorbell ring makes scheduling O(active): with 4 active senders the
 // per-message effort must stay flat from 4 to 4096 configured endpoints.
-// The comparison arm rings no doorbells, so every plan falls back to the
-// no-candidate sweep over all configured slots — the paper's full scan,
-// which grows linearly.
+// The comparison arm rings no doorbells: it raises the ring's overflow
+// signal in place of each one, so every plan that finds work sweeps all
+// configured slots — the paper's full scan, which grows linearly.
 //
 // Two deterministic readings per configuration, plus a wall-clock one:
 //   * endpoints_visited / message — the engine's own scan-effort counter;
@@ -15,13 +15,6 @@
 //   * host ns / message — actual CPU cost of the sender engine's event
 //     loop (the simulated latency cannot show the effect: the platform
 //     model charges a fixed send overhead regardless of table size).
-//
-// Both arms disable the periodic backstop sweep: in the doorbell arm every
-// release rings its doorbell, so the periodic sweep would only add a
-// configurable amortized n/interval term that is not the hint path under
-// test (lost-doorbell recovery has its own tests and model-checker
-// schedules); in the no-doorbell arm the no-candidate sweep already runs
-// on every plan.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -52,7 +45,8 @@ struct ArmResult {
 
 // One hand-wired sender node driving 4 active send endpoints out of
 // `configured` slots, messages draining into a fixed-size receiver node.
-// `ring_doorbells` = false leaves the planner only its no-candidate sweep.
+// `ring_doorbells` = false raises the overflow signal instead, so the
+// planner finds the senders by sweeping.
 ArmResult RunArm(std::uint32_t configured, bool ring_doorbells) {
   ArmResult best;
 
@@ -77,7 +71,6 @@ ArmResult RunArm(std::uint32_t configured, bool ring_doorbells) {
 
     engine::PlatformModel model;
     engine::EngineOptions options;
-    options.backstop_interval = 0;  // see header comment
     engine::MessagingEngine tx_engine(**tx_comm, fabric.wire(0), options, &model);
     engine::MessagingEngine rx_engine(**rx_comm, fabric.wire(1), options, &model);
 
@@ -109,7 +102,8 @@ ArmResult RunArm(std::uint32_t configured, bool ring_doorbells) {
     while (rounds < kRoundsMax && (timed_ns < kMinTimedSeconds * 1e9 || rounds < 32)) {
       // Application phase (untimed): reclaim last round's buffers, release
       // the next message on each sender, ring the doorbell like the
-      // application library does.
+      // application library does (or, in the no-doorbell arm, raise the
+      // overflow signal).
       for (std::uint32_t s = 0; s < kActiveSenders; ++s) {
         if (rounds > 0 && (*tx_comm)->queue(senders[s]).Acquire() != buffers[s]) {
           std::fprintf(stderr, "FATAL: buffer did not complete\n");
@@ -122,6 +116,8 @@ ArmResult RunArm(std::uint32_t configured, bool ring_doorbells) {
         (*tx_comm)->queue(senders[s]).Release(buffers[s]);
         if (ring_doorbells) {
           (*tx_comm)->doorbell_ring().Ring(senders[s]);
+        } else {
+          (*tx_comm)->doorbell_ring().SignalOverflow();
         }
       }
 

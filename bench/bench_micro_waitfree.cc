@@ -315,12 +315,11 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   const double locks_per_op = static_cast<double>(counters.locks) / kOps;
   const double blocking_per_op = static_cast<double>(counters.blocking_calls) / kOps;
   const bool clean = counters.allocations == 0 && counters.locks == 0 &&
-                     counters.blocking_calls == 0 && counters.loop_overruns == 0;
+                     counters.blocking_calls == 0;
   const double wire_allocs_per_msg = static_cast<double>(wire.allocations) / kOps;
   const double wire_locks_per_msg = static_cast<double>(wire.locks) / kOps;
   const bool wire_clean = wire.scope_entries != 0 && wire.allocations == 0 &&
-                          wire.locks == 0 && wire.blocking_calls == 0 &&
-                          wire.loop_overruns == 0;
+                          wire.locks == 0 && wire.blocking_calls == 0;
 
   std::printf("\nhot-path purity audit (%llu wait-free op groups, %llu armed scopes)\n",
               static_cast<unsigned long long>(kOps),
@@ -328,8 +327,6 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   std::printf("  %-28s %12.6f per op\n", "allocations", allocs_per_op);
   std::printf("  %-28s %12.6f per op\n", "lock acquisitions", locks_per_op);
   std::printf("  %-28s %12.6f per op\n", "blocking calls", blocking_per_op);
-  std::printf("  %-28s %12llu total\n", "loop budget overruns",
-              static_cast<unsigned long long>(counters.loop_overruns));
   std::printf("  verdict: %s\n",
               clean ? "OK — wait-free path is allocation- and lock-free"
                     : "[MISMATCH] hot-path scopes observed allocations/locks");
@@ -341,8 +338,6 @@ void ReportHotPathPurity(bench::JsonReport& json) {
   std::printf("  %-28s %12.6f per msg\n", "lock acquisitions", wire_locks_per_msg);
   std::printf("  %-28s %12.6f per msg\n", "blocking calls",
               static_cast<double>(wire.blocking_calls) / kOps);
-  std::printf("  %-28s %12llu total\n", "loop budget overruns",
-              static_cast<unsigned long long>(wire.loop_overruns));
   std::printf("  verdict: %s\n",
               wire_clean ? "OK — the API and real-thread wire path is allocation- and lock-free"
                          : "[MISMATCH] the API cycle observed allocations/locks");

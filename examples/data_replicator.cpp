@@ -1,22 +1,20 @@
-// Data replicator: the future-work extensions working together as the
-// "complete system" the paper's conclusion calls for.
+// Data replicator: bulk transfer and plain FLIPC messages sharing one
+// cluster, as the "complete system" the paper's conclusion calls for.
 //
 //   * node 0 (producer) pushes a dataset to node 1 with the BULK TRANSFER
 //     library — fragmentation + window flow control layered over ordinary
 //     FLIPC messages, checksum-verified on reassembly;
-//   * node 1 (replica) exports the replicated bytes as a REMOTE MEMORY
-//     window;
-//   * node 2 (auditor) spot-checks the replica with one-sided RMA reads —
-//     the replica's application threads are never involved, the engine
-//     services the reads ("separating data and control transfer").
+//   * the producer and node 1 (replica) each send the auditor, node 2, one
+//     ordinary FLIPC message carrying their checksum of the dataset;
+//   * the auditor accepts the replica only when the two checksums agree.
 //
-// All three protocols (FLIPC messages, bulk credits, RMA) share each node's
-// messaging engine through its protocol framework, just as the paper's
-// engine carried FLIPC alongside the OSF/1 AD protocols.
+// Both protocols (FLIPC messages and bulk credits) share each node's
+// messaging engine, just as the paper's engine carried FLIPC alongside the
+// OSF/1 AD protocols.
 //
 // Build & run:  ./build/examples/data_replicator
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -24,12 +22,27 @@
 #include "src/base/rng.h"
 #include "src/flipc/flipc.h"
 #include "src/flow/bulk_channel.h"
-#include "src/rma/rma_node.h"
 
 namespace {
 constexpr std::size_t kDatasetBytes = 256 * 1024;
 constexpr std::uint32_t kWindowDepth = 16;
-constexpr int kAuditSamples = 32;
+
+// Sends one 64-bit checksum as an ordinary FLIPC message and waits until
+// the engine has sent it.
+bool SendChecksum(flipc::Domain& domain, flipc::Address auditor, std::uint64_t sum) {
+  auto tx = domain.CreateEndpoint({.type = flipc::shm::EndpointType::kSend});
+  auto message = domain.AllocateBuffer();
+  if (!tx.ok() || !message.ok() || !message->Write(&sum, sizeof(sum)) ||
+      !tx->Send(*message, auditor).ok()) {
+    return false;
+  }
+  flipc::Result<flipc::MessageBuffer> reclaimed = flipc::UnavailableStatus();
+  while (!reclaimed.ok()) {
+    reclaimed = tx->Reclaim();
+    std::this_thread::yield();
+  }
+  return true;
+}
 }  // namespace
 
 int main() {
@@ -44,12 +57,20 @@ int main() {
   }
   flipc::Domain& producer = (*cluster)->domain(0);
   flipc::Domain& replica = (*cluster)->domain(1);
-
-  // RMA endpoints-of-sorts: protocol handlers on each engine (registered
-  // before the engines start running).
-  flipc::rma::RmaNode replica_rma((*cluster)->engine(1));
-  flipc::rma::RmaNode auditor_rma((*cluster)->engine(2));
+  flipc::Domain& auditor = (*cluster)->domain(2);
   (*cluster)->Start();
+
+  // --- Auditor: one receive endpoint, a buffer posted per expected sum ---
+  auto audit_rx = auditor.CreateEndpoint({.type = flipc::shm::EndpointType::kReceive});
+  if (!audit_rx.ok()) {
+    return 1;
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto buffer = auditor.AllocateBuffer();
+    if (!buffer.ok() || !audit_rx->PostBuffer(*buffer).ok()) {
+      return 1;
+    }
+  }
 
   // --- Bulk channel: producer -> replica ---
   auto data_tx = producer.CreateEndpoint(
@@ -79,9 +100,9 @@ int main() {
   }
   const std::uint64_t dataset_sum = flipc::Fnv1a(dataset.data(), dataset.size());
 
-  // Replica thread: reassemble, verify, export via RMA.
+  // Replica thread: reassemble, verify, report its checksum to the auditor.
   std::vector<std::byte> replica_copy;
-  std::uint32_t rma_window = 0;
+  bool replica_reported = false;
   std::thread replica_thread([&] {
     for (;;) {
       auto transfer = receiver->Poll();
@@ -91,17 +112,16 @@ int main() {
           return;
         }
         replica_copy = std::move(transfer->data);
-        auto window = replica_rma.ExportWindow(replica_copy.data(), replica_copy.size());
-        if (window.ok()) {
-          rma_window = *window;
-        }
+        replica_reported = SendChecksum(
+            replica, audit_rx->address(),
+            flipc::Fnv1a(replica_copy.data(), replica_copy.size()));
         return;
       }
       std::this_thread::yield();
     }
   });
 
-  // Producer: start and pump the transfer.
+  // Producer: start and pump the transfer, then report its own checksum.
   auto transfer_id = sender->Start(dataset.data(), dataset.size());
   if (!transfer_id.ok()) {
     return 1;
@@ -110,52 +130,34 @@ int main() {
     std::this_thread::yield();
   }
   replica_thread.join();
-  if (replica_copy.size() != kDatasetBytes || rma_window == 0) {
+  if (replica_copy.size() != kDatasetBytes || !replica_reported) {
     std::fprintf(stderr, "replication failed\n");
     return 1;
   }
   std::printf("replicated %zu KB in %llu fragments (checksum ok)\n", kDatasetBytes / 1024,
               static_cast<unsigned long long>(sender->fragments_sent()));
+  if (!SendChecksum(producer, audit_rx->address(), dataset_sum)) {
+    return 1;
+  }
 
-  // --- Auditor: one-sided reads; the replica application stays idle ---
-  flipc::Rng audit_rng(0xA0D17);
-  int mismatches = 0;
-  for (int i = 0; i < kAuditSamples; ++i) {
-    const std::size_t chunk = 512;
-    const std::size_t offset = audit_rng.Below(kDatasetBytes - chunk);
-    std::vector<std::byte> sample(chunk);
-    auto token = auditor_rma.Read(1, rma_window, offset, sample.data(), sample.size());
-    if (!token.ok()) {
-      ++mismatches;
-      continue;
-    }
-    // The engine runner services RMA work; poll for completion.
-    while (auditor_rma.Poll(*token).code() == flipc::StatusCode::kUnavailable) {
+  // --- Auditor: compare the two reported checksums ---
+  std::uint64_t sums[2] = {};
+  for (std::uint64_t& sum : sums) {
+    flipc::Result<flipc::MessageBuffer> received = flipc::UnavailableStatus();
+    while (!received.ok()) {
+      received = audit_rx->Receive();
       std::this_thread::yield();
     }
-    if (!auditor_rma.Poll(*token).ok() ||
-        std::memcmp(sample.data(), dataset.data() + offset, chunk) != 0) {
-      ++mismatches;
+    if (!received->Read(&sum, sizeof(sum))) {
+      return 1;
     }
   }
-
-  // An out-of-bounds probe must be rejected, not serviced.
-  std::byte probe[16];
-  auto bad = auditor_rma.Read(1, rma_window, kDatasetBytes - 4, probe, sizeof(probe));
-  while (bad.ok() && auditor_rma.Poll(*bad).code() == flipc::StatusCode::kUnavailable) {
-    std::this_thread::yield();
-  }
-  const bool probe_rejected =
-      bad.ok() && auditor_rma.Poll(*bad).code() == flipc::StatusCode::kPermissionDenied;
-
   (*cluster)->Stop();
-  std::printf("audit: %d/%d samples verified by one-sided RMA reads; out-of-bounds probe "
-              "%s; replica served %llu reads without running application code\n",
-              kAuditSamples - mismatches, kAuditSamples,
-              probe_rejected ? "rejected" : "NOT rejected",
-              static_cast<unsigned long long>(replica_rma.stats().reads_served));
-  const bool ok = mismatches == 0 && probe_rejected &&
-                  flipc::Fnv1a(replica_copy.data(), replica_copy.size()) == dataset_sum;
+
+  const bool ok = sums[0] == sums[1] && sums[0] == dataset_sum;
+  std::printf("audit: replica and producer checksums %s (%016llx)\n",
+              sums[0] == sums[1] ? "agree" : "DISAGREE",
+              static_cast<unsigned long long>(sums[0]));
   std::printf("data_replicator %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

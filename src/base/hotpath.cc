@@ -32,7 +32,6 @@ std::atomic<std::uint64_t> g_scope_entries{0};
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_locks{0};
 std::atomic<std::uint64_t> g_blocking{0};
-std::atomic<std::uint64_t> g_loop_overruns{0};
 
 std::atomic<std::uint64_t>& CounterFor(GuardClass c) {
   switch (c) {
@@ -42,8 +41,6 @@ std::atomic<std::uint64_t>& CounterFor(GuardClass c) {
       return g_locks;
     case GuardClass::kBlocking:
       return g_blocking;
-    case GuardClass::kLoopOverrun:
-      return g_loop_overruns;
   }
   return g_allocations;
 }
@@ -96,7 +93,6 @@ GuardCounters ReadGuardCounters() {
   out.allocations = g_allocations.load(std::memory_order_relaxed);
   out.locks = g_locks.load(std::memory_order_relaxed);
   out.blocking_calls = g_blocking.load(std::memory_order_relaxed);
-  out.loop_overruns = g_loop_overruns.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -105,7 +101,6 @@ void ResetGuardCounters() {
   g_allocations.store(0, std::memory_order_relaxed);
   g_locks.store(0, std::memory_order_relaxed);
   g_blocking.store(0, std::memory_order_relaxed);
-  g_loop_overruns.store(0, std::memory_order_relaxed);
 }
 
 bool InHotPathScope() { return InArmedScope(tls_state); }
@@ -157,12 +152,6 @@ ScopedHotPathExemption::ScopedHotPathExemption(const char* /*reason*/) {
 }
 
 ScopedHotPathExemption::~ScopedHotPathExemption() { --tls_state.exempt_depth; }
-
-void LoopBudget::Overrun() {
-  if (InArmedScope(tls_state)) {
-    GuardEvent(GuardClass::kLoopOverrun, label_, 0);
-  }
-}
 
 }  // namespace flipc::hotpath
 

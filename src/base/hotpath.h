@@ -21,9 +21,10 @@
 //     semaphore handoff, the engine-runner kick — each use documents why).
 //
 //  2. Guards. Under -DFLIPC_CHECK_HOT_PATH=ON the markers arm runtime
-//     guards: a global operator new/delete replacement, lock-acquisition
-//     hooks in src/base/locks.h and the blocking primitives, and a
-//     bounded-loop budget assertion. A guard event inside an armed scope
+//     guards: a global operator new/delete replacement, and
+//     lock-acquisition hooks in src/base/locks.h and the blocking
+//     primitives. (Loop bounds are the static auditor's: see
+//     FLIPC_BOUNDED_BY below.) A guard event inside an armed scope
 //     aborts with the guard class and the enclosing annotation label
 //     (GuardMode::kAbort, the default) or increments a per-class counter
 //     (GuardMode::kCount — used by bench_micro_waitfree to report
@@ -111,7 +112,6 @@ enum class GuardClass : std::uint8_t {
   kAllocation,   // operator new/delete (heap traffic)
   kLock,         // TasLock acquisition
   kBlocking,     // blocking primitive (semaphore wait/post, idle park)
-  kLoopOverrun,  // a bounded loop exceeded its iteration budget
 };
 
 constexpr const char* GuardClassName(GuardClass c) {
@@ -122,8 +122,6 @@ constexpr const char* GuardClassName(GuardClass c) {
       return "lock acquisition";
     case GuardClass::kBlocking:
       return "blocking call";
-    case GuardClass::kLoopOverrun:
-      return "loop budget overrun";
   }
   return "?";
 }
@@ -141,7 +139,6 @@ struct GuardCounters {
   std::uint64_t allocations = 0;
   std::uint64_t locks = 0;
   std::uint64_t blocking_calls = 0;
-  std::uint64_t loop_overruns = 0;
 };
 
 #ifdef FLIPC_CHECK_HOT_PATH
@@ -187,29 +184,6 @@ class ScopedHotPathExemption {
   ScopedHotPathExemption& operator=(const ScopedHotPathExemption&) = delete;
 };
 
-// The bounded-loop assertion: hot-path loops must have an a-priori
-// iteration budget (wait-freedom is per-operation boundedness, not just
-// lock absence). Step() past the budget inside an armed scope is a
-// kLoopOverrun guard event.
-class LoopBudget {
- public:
-  LoopBudget(const char* label, std::uint64_t budget)
-      : label_(label), budget_(budget) {}
-
-  void Step() {
-    if (++steps_ > budget_) {
-      Overrun();
-    }
-  }
-
- private:
-  void Overrun();
-
-  const char* label_;
-  std::uint64_t budget_;
-  std::uint64_t steps_ = 0;
-};
-
 #define FLIPC_HP_CONCAT_IMPL(a, b) a##b
 #define FLIPC_HP_CONCAT(a, b) FLIPC_HP_CONCAT_IMPL(a, b)
 
@@ -221,9 +195,6 @@ class LoopBudget {
 #define FLIPC_HOT_PATH_EXEMPT(reason)                     \
   ::flipc::hotpath::ScopedHotPathExemption FLIPC_HP_CONCAT(flipc_hot_exempt_, \
                                                            __COUNTER__)(reason)
-#define FLIPC_HOT_PATH_LOOP_BUDGET(name, label, budget) \
-  ::flipc::hotpath::LoopBudget name((label), (budget))
-#define FLIPC_HOT_PATH_LOOP_STEP(name) (name).Step()
 
 #else  // !FLIPC_CHECK_HOT_PATH
 
@@ -244,8 +215,6 @@ inline void OnBlockingCall(const char*) {}
 #define FLIPC_HOT_PATH(label) ((void)0)
 #define FLIPC_HOT_PATH_IF(armed, label) ((void)0)
 #define FLIPC_HOT_PATH_EXEMPT(reason) ((void)0)
-#define FLIPC_HOT_PATH_LOOP_BUDGET(name, label, budget) ((void)0)
-#define FLIPC_HOT_PATH_LOOP_STEP(name) ((void)0)
 
 #endif  // FLIPC_CHECK_HOT_PATH
 

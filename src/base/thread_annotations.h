@@ -4,10 +4,10 @@
 // protocol auditor (tools/flipc_static_audit) proves its single-writer and
 // memory-order discipline instead. These annotations cover the LOCKED
 // subsystems around it: the library-side endpoint bookkeeping, the
-// simulated kernel objects (simos), the simulated fabric, and the RMA
-// protocol node. There, classic lock discipline applies and clang can
-// prove it at compile time: every GUARDED_BY member is touched only with
-// its mutex held, lock-requiring helpers are only called under the lock.
+// simulated kernel objects (simos) and the simulated fabric. There,
+// classic lock discipline applies and clang can prove it at compile time:
+// every GUARDED_BY member is touched only with its mutex held,
+// lock-requiring helpers are only called under the lock.
 //
 // The macros expand to nothing outside clang (GCC has no thread-safety
 // attributes), so annotated code builds unchanged everywhere; the CI clang

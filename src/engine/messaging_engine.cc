@@ -30,7 +30,8 @@ MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
       head_seen_at_(comm.max_endpoints(), 0),
       scratch_taken_(comm.max_endpoints(), 0),
       active_(comm.max_endpoints()),
-      in_active_(comm.max_endpoints(), 0) {
+      in_active_(comm.max_endpoints(), 0),
+      swept_tail_(comm.doorbell_ring().Head()) {
   // Batch + selection storage is sized here, once: the plan path must
   // never allocate.
   planned_batch_.reserve(options_.transmit_batch < 1 ? 1 : options_.transmit_batch);
@@ -217,9 +218,10 @@ void MessagingEngine::DrainDoorbells() {
   }
 }
 
-void MessagingEngine::SweepAllEndpoints() {
-  ++stats_.backstop_sweeps;
+std::uint64_t MessagingEngine::ActivateAllProcessable() {
+  swept_tail_ = comm_.doorbell_ring().ClaimedTail();
   stats_.endpoints_visited += comm_.max_endpoints();
+  std::uint64_t activated = 0;
   FLIPC_BOUNDED_BY(comm_.max_endpoints());
   for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
     if (comm_.endpoint(i).Type() != EndpointType::kSend) {
@@ -232,7 +234,14 @@ void MessagingEngine::SweepAllEndpoints() {
       continue;
     }
     ActivateEndpoint(i);
+    ++activated;
   }
+  return activated;
+}
+
+void MessagingEngine::SweepAllEndpoints() {
+  ++stats_.backstop_sweeps;
+  ActivateAllProcessable();
 }
 
 bool MessagingEngine::SelectBatchFromActive() {
@@ -417,6 +426,11 @@ void MessagingEngine::PlanOutboundBatch() {
   FLIPC_HOT_PATH("MessagingEngine::PlanOutboundBatch");
   planned_batch_.clear();
 
+  // Every send release either rings a doorbell, which is popped exactly
+  // once, or raises the overflow signal. So the engine sweeps only when the
+  // ring signals that a doorbell is unavailable: (a) a refused Ring(), or
+  // (b) doorbells queued behind a head whose producer has claimed but not
+  // yet published it.
   waitfree::DoorbellRingView ring = comm_.doorbell_ring();
   if (ring.OverflowPending()) {
     // Ack BEFORE sweeping, so a ring that overflows again mid-sweep raises
@@ -424,25 +438,13 @@ void MessagingEngine::PlanOutboundBatch() {
     ring.AckOverflow();
     ++stats_.doorbell_overflows;
     SweepAllEndpoints();
+  } else if (StalledHeadUnswept(ring)) {
+    ++stats_.sweeps_stalled_head;
+    SweepAllEndpoints();
   }
   DrainDoorbells();
-
-  ++outbound_plans_;
   ++stats_.outbound_plans;
-  if (options_.backstop_interval != 0 && outbound_plans_ % options_.backstop_interval == 0) {
-    ++stats_.sweeps_periodic;
-    SweepAllEndpoints();  // Low-frequency lost-doorbell backstop.
-  }
-
-  if (!SelectBatchFromActive()) {
-    // No candidate on the hint path. Work queued without a doorbell (an
-    // engine-side test writing queues directly, or a doorbell lost to a
-    // ring lap) must still be discovered before the engine reports idle,
-    // or the DES would sleep over real work.
-    ++stats_.sweeps_no_candidate;
-    SweepAllEndpoints();
-    SelectBatchFromActive();
-  }
+  SelectBatchFromActive();
 }
 
 DurationNs MessagingEngine::PlanStep() {
@@ -583,16 +585,9 @@ bool MessagingEngine::Step() {
 }
 
 void MessagingEngine::RecoverFromBuffer() {
-  // Recovery is a quiescent-role closure (DESIGN.md §14): the dead
-  // engine's writer role died with it and no runner steps the engine yet,
-  // so relaxed stores into engine-owned cells are unraced — the same
-  // exemption window CommBuffer::AllocateEndpoint's slot reset uses.
-  waitfree::ScopedBoundaryExemption quiescent_recovery;
-
-  // Doorbells are hints; the cursor sweep below rediscovers their work
-  // from the authoritative queue cursors, so fast-forward past anything
-  // rung at the dead engine.
-  comm_.doorbell_ring().ResetConsumerQuiescent();
+  // Recovery writes no comm-buffer cell: the doorbell ring keeps its
+  // cursors, and the doorbells the dead engine left are popped later as
+  // duplicates of the sweep below.
 
   // Discard any half-planned unit inherited through this object (a fresh
   // engine has none; an in-place recovery might). A planned_packet_ is
@@ -620,23 +615,11 @@ void MessagingEngine::RecoverFromBuffer() {
   class_credit_.fill(0);
 
   // Rebuild the active list from the cursors. Deliberately NOT
-  // SweepAllEndpoints(): that counts toward backstop_sweeps, whose
-  // cause identity (overflow + periodic + no-candidate) must survive
-  // recovery; this sweep is accounted under stats_.recovered_active.
-  std::uint64_t activated = 0;
-  stats_.endpoints_visited += comm_.max_endpoints();
-  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
-    if (comm_.endpoint(i).Type() != EndpointType::kSend) {
-      continue;
-    }
-    if (comm_.queue(i).ProcessableCount() == 0) {
-      continue;
-    }
-    ActivateEndpoint(i);
-    ++activated;
-  }
+  // SweepAllEndpoints(): that counts toward backstop_sweeps, whose cause
+  // identity (overflow + stalled head) must survive recovery; this sweep
+  // is accounted under stats_.recovered_active.
   ++stats_.recoveries;
-  stats_.recovered_active += activated;
+  stats_.recovered_active += ActivateAllProcessable();
 }
 
 bool MessagingEngine::HasWork() const {
@@ -646,25 +629,17 @@ bool MessagingEngine::HasWork() const {
   if (wire_.PendingCount() > 0) {
     return true;
   }
-  // O(active) early-true checks. A pending doorbell or overflow signal
-  // reports work even when stale — the next plan drains the ring (head
-  // always advances), so the DES cannot spin on a stale hint.
-  waitfree::DoorbellRingView ring = const_cast<shm::CommBuffer&>(comm_).doorbell_ring();
-  if (ring.HasPending() || ring.OverflowPending()) {
+  // A published doorbell or a sweep trigger reports work even when the
+  // endpoint it leads to has none — the next plan consumes the doorbell or
+  // answers the trigger, so the DES cannot spin on it. A send released
+  // since the last plan is always behind one of these: the ring is exact.
+  const waitfree::DoorbellRingView ring = comm_.doorbell_ring();
+  if (ring.HasPending() || ring.OverflowPending() || StalledHeadUnswept(ring)) {
     return true;
   }
   LazyNow now(clock_);
   for (std::size_t i = 0; i < active_.size(); ++i) {
     if (SendReady(active_.at(i), now)) {
-      return true;
-    }
-  }
-  // The full scan stays as the authoritative fallback:
-  // work queued without a doorbell (engine-side test writes, lost
-  // doorbells) must be reported — the plan's no-candidate sweep will find
-  // anything reported here.
-  for (std::uint32_t i = 0; i < comm_.max_endpoints(); ++i) {
-    if (SendReady(i, now)) {
       return true;
     }
   }

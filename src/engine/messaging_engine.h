@@ -66,16 +66,6 @@ struct EngineOptions {
   // fairness). 1 disables batching.
   std::uint32_t transmit_batch = 8;
 
-  // The planner is O(active): it consumes the communication buffer's
-  // doorbell ring instead of sweeping every endpoint slot per step. A
-  // low-frequency backstop sweep recovers lost doorbells, and a sweep also
-  // runs whenever the doorbell path yields no candidate, so correctness
-  // never depends on a doorbell arriving.
-  //
-  // Run the lost-doorbell backstop sweep every this many outbound plans;
-  // 0 disables the periodic sweep (the no-candidate sweep still runs).
-  std::uint32_t backstop_interval = 64;
-
   // ---- QoS planner (DESIGN.md §15) ----
   // Per-class service weights for the deficit-weighted class selection
   // over the active list. When several classes stay backlogged, each
@@ -105,26 +95,24 @@ struct EngineStats {
   std::uint64_t doorbells_consumed = 0;   // ring entries popped
   std::uint64_t doorbell_dups = 0;        // popped for an already-active endpoint
   std::uint64_t doorbell_overflows = 0;   // overflow signals answered with a sweep
-  std::uint64_t backstop_sweeps = 0;      // full sweeps (periodic / no-candidate / overflow)
+  std::uint64_t sweeps_stalled_head = 0;  // sweeps for doorbells behind an unpublished head
+  std::uint64_t backstop_sweeps = 0;      // full sweeps; == doorbell_overflows +
+                                          //   sweeps_stalled_head
   std::uint64_t endpoints_visited = 0;    // endpoints examined while planning sends;
                                           // the deterministic scan-effort metric
   std::uint64_t transmit_batches = 0;     // outbound work units committed
   std::uint64_t batched_messages = 0;     // messages carried by those units
   // ---- Engine-loop flight-recorder counters ----
   std::uint64_t outbound_plans = 0;       // PlanOutboundBatch invocations
-  std::uint64_t sweeps_periodic = 0;      // backstop sweeps from the plan-count interval
-  std::uint64_t sweeps_no_candidate = 0;  // sweeps because the hint path came up empty
-                                          // (overflow-caused sweeps == doorbell_overflows;
-                                          //  the three causes sum to backstop_sweeps)
   // ---- Crash recovery ----
   std::uint64_t recoveries = 0;           // RecoverFromBuffer invocations
   std::uint64_t recovered_active = 0;     // endpoints re-activated by recovery sweeps
 
   // Sums `other` into this (per-engine stats -> an aggregate over runs or
   // engines). The counter identities (backstop_sweeps ==
-  // doorbell_overflows + sweeps_periodic + sweeps_no_candidate;
-  // batched_messages vs transmit_batches) are linear, so they hold for the
-  // aggregate exactly when they hold for each part.
+  // doorbell_overflows + sweeps_stalled_head; batched_messages vs
+  // transmit_batches) are linear, so they hold for the aggregate exactly
+  // when they hold for each part.
   void Add(const EngineStats& other) {
     work_units += other.work_units;
     messages_sent += other.messages_sent;
@@ -139,13 +127,12 @@ struct EngineStats {
     doorbells_consumed += other.doorbells_consumed;
     doorbell_dups += other.doorbell_dups;
     doorbell_overflows += other.doorbell_overflows;
+    sweeps_stalled_head += other.sweeps_stalled_head;
     backstop_sweeps += other.backstop_sweeps;
     endpoints_visited += other.endpoints_visited;
     transmit_batches += other.transmit_batches;
     batched_messages += other.batched_messages;
     outbound_plans += other.outbound_plans;
-    sweeps_periodic += other.sweeps_periodic;
-    sweeps_no_candidate += other.sweeps_no_candidate;
     recoveries += other.recoveries;
     recovered_active += other.recovered_active;
   }
@@ -218,19 +205,24 @@ class MessagingEngine {
 
   // Rebuilds the engine's scheduling state purely from the authoritative
   // queue cursors of a communication buffer abandoned by a dead engine:
-  // fast-forwards the doorbell ring's consume cursor (doorbells are hints;
-  // the sweep below rediscovers their work), clears any half-planned work
-  // unit, and re-activates every send endpoint with processable work. Must
-  // run while NO other engine-side actor touches the comm buffer (the
-  // quiescent role) — typically on a freshly
-  // constructed engine before its runner starts. The sweep here is not a
-  // backstop sweep (it does not count toward backstop_sweeps, preserving
-  // the sweep-cause identity); it increments stats_.recoveries instead.
+  // clears any half-planned work unit and re-activates every send endpoint
+  // with processable work. The doorbell ring is left as it is: doorbells
+  // the dead engine did not pop are popped later as harmless duplicates
+  // (fast-forwarding the consume cursor would let a producer that claimed
+  // before it publish over a later lap). Must run while NO other
+  // engine-side actor touches the comm buffer (the quiescent role) —
+  // typically on a freshly constructed engine before its runner starts.
+  // The sweep here is not a backstop sweep (it does not count toward
+  // backstop_sweeps, preserving the sweep-cause identity); it increments
+  // stats_.recoveries instead.
   FLIPC_ROLE_QUIESCENT void RecoverFromBuffer();
 
-  // Whether a Step() could find work. Stays true while send work waits on a
-  // back-pressured wire, so a runner spins (never parks) until the
-  // destination engine frees ring space.
+  // Whether a Step() could find work: exactly what a plan acts on, in
+  // O(active) time — a planned unit, an inbound packet, a published
+  // doorbell, either sweep trigger, a ready endpoint on the active list, or
+  // protocol-handler work. Stays true while send work waits on a wire that
+  // cannot report a full ring ahead of the send, so a runner spins (never
+  // parks) until the destination engine frees ring space.
   bool HasWork() const;
 
   // Optional flight recorder; events are stamped with the engine's clock
@@ -346,22 +338,34 @@ class MessagingEngine {
  private:
   enum class WorkKind { kNone, kInbound, kOutbound, kHandler };
 
-  // ---- Doorbell scheduling (engine-private hint state) ----
+  // ---- Doorbell scheduling (engine-private state) ----
 
   // Fills planned_batch_ with up to transmit_batch ready same-destination
-  // endpoints: drains the ring, runs the periodic/overflow/no-candidate
-  // backstop sweeps, and rotates the active list.
+  // endpoints: sweeps if the ring signals a doorbell it cannot hand over,
+  // drains the ring, and rotates the active list.
   void PlanOutboundBatch();
 
-  // Pops published doorbells into the active list (overflow answered with
-  // a covering sweep first).
+  // Pops published doorbells into the active list.
   void DrainDoorbells();
 
   // Adds `endpoint` to the active list unless already a member.
   void ActivateEndpoint(std::uint32_t endpoint);
 
-  // The lost-doorbell backstop: activates every send endpoint with
-  // processable work. O(configured endpoints); runs at low frequency.
+  // Sweep trigger (b): the ring's head position is claimed but not yet
+  // published, and producers have claimed past the last sweep. Doorbells
+  // behind the stalled head cannot be popped; a sweep covers their sends.
+  bool StalledHeadUnswept(const waitfree::DoorbellRingView& ring) const {
+    return ring.HeadStalled() && ring.ClaimedTail() != swept_tail_;
+  }
+
+  // Activates every send endpoint with processable work and returns how
+  // many it activated. O(configured endpoints). Records the ring's claim
+  // position first: every send released before a claim below it is
+  // covered.
+  std::uint64_t ActivateAllProcessable();
+
+  // A backstop sweep: ActivateAllProcessable, counted in backstop_sweeps.
+  // Runs only when the ring signals it (an overflow, or trigger (b)).
   void SweepAllEndpoints();
 
   // One rotation over the active list selecting the batch; returns whether
@@ -535,9 +539,8 @@ class MessagingEngine {
   // hot-path guard violation and a latency hazard). Membership is deduped
   // by in_active_, so at most max_endpoints entries ever coexist; storage
   // is sized once at construction and never reallocated. A push beyond
-  // capacity (impossible under the dedup invariant) drops the entry —
-  // doorbell hints are recoverable by the backstop sweep, so losing one is
-  // safe where resizing would not be.
+  // capacity cannot happen under the dedup invariant; the guard keeps a
+  // broken invariant from overwriting the front.
   class ActiveList {
    public:
     explicit ActiveList(std::uint32_t max_entries) : slots_(max_entries + 1) {}
@@ -552,7 +555,7 @@ class MessagingEngine {
     void push_back(std::uint32_t endpoint) {
       const std::size_t next = Next(tail_);
       if (next == head_) {
-        return;  // Full: shed the hint rather than grow.
+        return;  // Unreachable: membership is deduplicated.
       }
       slots_[tail_] = endpoint;
       tail_ = next;
@@ -577,7 +580,11 @@ class MessagingEngine {
   ActiveList active_;
   std::vector<char> in_active_;
   std::vector<std::uint32_t> planned_batch_;
-  std::uint64_t outbound_plans_ = 0;
+  // The ring's claim position at the last sweep (ActivateAllProcessable):
+  // every claim below it is covered, so trigger (b) fires again only once
+  // producers claim past it. Starts at the consume position found at
+  // construction, so a head already stalled then is swept once.
+  std::uint32_t swept_tail_;
 
   std::function<void(std::uint32_t, bool)> receive_hook_;
   std::function<void(std::uint32_t)> send_complete_hook_;

@@ -1,5 +1,7 @@
 #include "src/kkt/kkt_engine.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/base/hotpath.h"
@@ -101,8 +103,17 @@ void KktMessagingEngine::HandleKktPacket(simnet::Packet packet, simnet::CostAccu
     response.kind = kKktResponse;
     response.dst_addr = packet.src_addr;
     response.seq = packet.seq;
-    if (!wire().Send(std::move(response)).ok()) {
-      FLIPC_LOG(kWarning) << "kkt: failed to ack request from node " << packet.src_node;
+    // The ack is sent once: KKT runs on the simulated fabric (E8), whose
+    // wire never refuses. A refused ack would leave the requester's
+    // endpoint blocked for good, and there is no retry path, so a wire that
+    // refuses is a broken precondition, not a loss to count.
+    const Status status = wire().Send(std::move(response));
+    if (!status.ok()) {
+      std::fprintf(stderr,
+                   "FLIPC kkt: the wire refused the ack to node %u (%s); the KKT engine "
+                   "needs a wire that never refuses a send\n",
+                   static_cast<unsigned>(packet.src_node), status.ToString().c_str());
+      std::abort();
     }
     return;
   }

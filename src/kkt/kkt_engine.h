@@ -21,6 +21,10 @@
 // cannot pass an unacknowledged message without breaking the ordered-
 // delivery guarantee), which is the structural reason KKT FLIPC is slow —
 // reproduced by experiment E8.
+//
+// Precondition: the wire never refuses a send (the simulated fabric's
+// wire). A request's ack is sent exactly once; a wire that refuses it
+// aborts the process with a message rather than strand the requester.
 #ifndef SRC_KKT_KKT_ENGINE_H_
 #define SRC_KKT_KKT_ENGINE_H_
 

@@ -144,7 +144,11 @@ inline constexpr std::uint64_t kCommBufferMagic = 0x464c495043313936ull;  // "FL
 // Version 7 returned to one messaging engine per node: the header's planner
 // geometry, the per-planner doorbell sections (one ring remains) and the
 // endpoint record's owning-planner cell are gone.
-inline constexpr std::uint32_t kCommBufferVersion = 7;
+// Version 8 made the doorbell ring exact: a producer claims a slot only
+// below full (a compare-exchange on ring_tail), and overflow_rung is an
+// atomic increment. A version-7 producer can still overshoot a full ring
+// and overwrite a slot the engine has not consumed.
+inline constexpr std::uint32_t kCommBufferVersion = 8;
 
 class CommBuffer {
  public:

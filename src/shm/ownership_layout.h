@@ -160,16 +160,17 @@ inline constexpr FieldOwnership kQueueCursorsOwnership[] = {
 // ---- DoorbellCursors (src/waitfree/doorbell_ring.h) ----
 // The send-doorbell ring's cursor block: one application line (producer
 // position + overflow signal), one engine line (consumer position +
-// overflow acknowledgement). ring_tail is the one application-side RMW
-// word (slot claim among app threads, like the endpoint TasLock), so it is
-// not a checked cell; the engine only reads it. The ring's CELLS are
+// overflow acknowledgement). ring_tail and overflow_rung are
+// application-side RMW words (the slot claim and the refusal count among
+// app threads, like the endpoint TasLock), so they are not checked cells;
+// the engine only reads them. The ring's CELLS are
 // app-written SingleWriterCells declared per-region by CommBuffer, like
 // the queue-cell arena.
 inline constexpr FieldOwnership kDoorbellCursorsOwnership[] = {
     {"DoorbellCursors.ring_tail", offsetof(waitfree::DoorbellCursors, ring_tail),
      sizeof(waitfree::DoorbellCursors::ring_tail), ownership_internal::kApp, false, false},
     {"DoorbellCursors.overflow_rung", offsetof(waitfree::DoorbellCursors, overflow_rung),
-     sizeof(waitfree::DoorbellCursors::overflow_rung), ownership_internal::kApp, true,
+     sizeof(waitfree::DoorbellCursors::overflow_rung), ownership_internal::kApp, false,
      false},
     {"DoorbellCursors.ring_head", offsetof(waitfree::DoorbellCursors, ring_head),
      sizeof(waitfree::DoorbellCursors::ring_head), ownership_internal::kEng, true, false},
@@ -265,11 +266,6 @@ enum class FieldOrderKind {
   // the data they expose is ordered; cross-role reads must be Read
   // (acquire); the owner may read its own cursor relaxed.
   kCursor,
-  // A cursor consumed as a scheduling HINT: staleness is tolerated by
-  // design, so cross-role relaxed reads are additionally legal (ring_head:
-  // the producer's full-check may run on a stale head; the overflow signal
-  // and backstop sweep cover the error).
-  kHintCursor,
   // Level-triggered signal word: same profile as kCursor (Publish writes,
   // acquire cross-reads).
   kFlag,
@@ -287,9 +283,9 @@ enum class FieldOrderKind {
   // writes may be StoreRelaxed or Publish; reads any (the cursor's
   // acquire/release pairing provides the ordering).
   kDataCell,
-  // Mutual-exclusion / RMW words (TasLock, ring_tail): outside the
-  // single-writer cell discipline; every access must still name an explicit
-  // memory_order.
+  // Mutual-exclusion / RMW words (TasLock, ring_tail, overflow_rung):
+  // outside the single-writer cell discipline; every access must still name
+  // an explicit memory_order.
   kRmw,
   // Plain non-atomic words written only under the allocation lock (or at
   // format time); no atomic accesses expected at all.
@@ -346,8 +342,8 @@ inline constexpr FieldOrderPolicy kFieldOrderKinds[] = {
     {"QueueCursors.process_count", FieldOrderKind::kCursor},
     // DoorbellCursors
     {"DoorbellCursors.ring_tail", FieldOrderKind::kRmw},
-    {"DoorbellCursors.overflow_rung", FieldOrderKind::kFlag},
-    {"DoorbellCursors.ring_head", FieldOrderKind::kHintCursor},
+    {"DoorbellCursors.overflow_rung", FieldOrderKind::kRmw},
+    {"DoorbellCursors.ring_head", FieldOrderKind::kCursor},
     {"DoorbellCursors.overflow_seen", FieldOrderKind::kFlag},
     // SpscCursors
     {"SpscCursors.wire_tail", FieldOrderKind::kCursor},

@@ -23,7 +23,6 @@ inline constexpr std::uint32_t kProtocolFlipc = 1;
 inline constexpr std::uint32_t kProtocolKkt = 2;
 inline constexpr std::uint32_t kProtocolKernelIpc = 3;  // stand-in for OSF/1 AD traffic
 inline constexpr std::uint32_t kProtocolBaseline = 4;   // NX/PAM/SUNMOS models
-inline constexpr std::uint32_t kProtocolRma = 5;        // remote memory access extension
 
 // Modeled wire overhead per packet (routing header, CRC); counts toward
 // serialization time but is not part of the payload.
@@ -32,8 +31,8 @@ inline constexpr std::size_t kPacketWireHeaderBytes = 16;
 // A packet's payload bytes. Up to kInlineCapacity bytes — the payload of the
 // largest FLIPC message on the Figure 4 axis (1024 B less the 8-byte
 // header) — live inside the packet, so building, moving and copying a FLIPC
-// packet never touches the heap. Larger payloads (RMA transfers, the
-// baseline models on the DES) fall back to a heap buffer. Copies and moves
+// packet never touches the heap. Larger payloads (the baseline models on
+// the DES) fall back to a heap buffer. Copies and moves
 // touch only the used bytes; the inline buffer is never zero-filled.
 class PacketPayload {
  public:

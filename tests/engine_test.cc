@@ -93,9 +93,17 @@ class EngineTest : public ::testing::Test {
     return *buffer;
   }
 
-  // Queues a send of `text` from `endpoint` on node to a destination.
-  BufferIndex QueueSend(int node, std::uint32_t endpoint, Address dst,
-                        const char* text = "hello") {
+  // Rings `endpoint`'s doorbell the way the application library does after
+  // a send release.
+  void RingDoorbell(int node, std::uint32_t endpoint) {
+    waitfree::ScopedBoundaryRole app_role(waitfree::Writer::kApplication);
+    EXPECT_TRUE(comm_[node]->doorbell_ring().Ring(endpoint));
+  }
+
+  // Queues a send of `text` from `endpoint` on node to a destination
+  // without ringing its doorbell.
+  BufferIndex ReleaseSend(int node, std::uint32_t endpoint, Address dst,
+                          const char* text = "hello") {
     auto buffer = comm_[node]->AllocateBuffer();
     EXPECT_TRUE(buffer.ok());
     shm::MsgView view = comm_[node]->msg(*buffer);
@@ -104,6 +112,14 @@ class EngineTest : public ::testing::Test {
     view.header->state.Store(MsgState::kReady);
     EXPECT_TRUE(comm_[node]->queue(endpoint).Release(*buffer));
     return *buffer;
+  }
+
+  // Queues a send and rings its doorbell, as Endpoint::Send does.
+  BufferIndex QueueSend(int node, std::uint32_t endpoint, Address dst,
+                        const char* text = "hello") {
+    const BufferIndex buffer = ReleaseSend(node, endpoint, dst, text);
+    RingDoorbell(node, endpoint);
+    return buffer;
   }
 
   simnet::Simulator sim_;
@@ -212,6 +228,7 @@ TEST_F(EngineTest, InvalidBufferIndexRejectedSafely) {
   const std::uint32_t tx = MakeEndpoint(0, EndpointType::kSend);
   // An errant application writes garbage into its queue cell.
   ASSERT_TRUE(comm_[0]->queue(tx).Release(0xdeadbeef));
+  RingDoorbell(0, tx);
   RunAll();
   EXPECT_EQ(engine_[0]->stats().validity_rejections, 1u);
   EXPECT_EQ(engine_[0]->stats().messages_sent, 0u);
@@ -301,10 +318,6 @@ TEST_F(EngineTest, RealTimePreemptionDoesNotResetRotation) {
     char text[16];
     std::snprintf(text, sizeof(text), "h%d", round);
     QueueSend(0, high, dst, text);
-    {
-      waitfree::ScopedBoundaryRole app_role(waitfree::Writer::kApplication);
-      comm_[0]->doorbell_ring().Ring(high);
-    }
     engine_[0]->Step();  // the RT endpoint preempts
   }
   sim_.Run();
@@ -328,12 +341,6 @@ TEST_F(EngineTest, DoorbellAvoidsBackstopSweep) {
   const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
   PostRecvBuffer(1, rx);
   QueueSend(0, tx, Address(1, static_cast<std::uint16_t>(rx)));
-  {
-    // The test helpers write queues directly; ring the doorbell the way the
-    // application library does after a release.
-    waitfree::ScopedBoundaryRole app_role(waitfree::Writer::kApplication);
-    comm_[0]->doorbell_ring().Ring(tx);
-  }
 
   EXPECT_GT(engine_[0]->PlanStep(), 0);
   EXPECT_TRUE(engine_[0]->CommitStep());
@@ -483,6 +490,9 @@ TEST_F(EngineTest, PlanIsIdempotentUntilCommit) {
   EXPECT_FALSE(engine_[0]->CommitStep());
 }
 
+// HasWork() reports what a plan would act on and reads no endpoint off the
+// active list: a release is work once its doorbell or the overflow signal
+// announces it, and not before.
 TEST_F(EngineTest, HasWorkTracksState) {
   EXPECT_FALSE(engine_[0]->HasWork());
   const std::uint32_t tx = MakeEndpoint(0, EndpointType::kSend);
@@ -490,6 +500,18 @@ TEST_F(EngineTest, HasWorkTracksState) {
   QueueSend(0, tx, Address(1, 0));
   EXPECT_TRUE(engine_[0]->HasWork());
   engine_[0]->Step();
+  EXPECT_FALSE(engine_[0]->HasWork());
+
+  ReleaseSend(0, tx, Address(1, 0));
+  EXPECT_FALSE(engine_[0]->HasWork());
+  {
+    waitfree::ScopedBoundaryRole app_role(waitfree::Writer::kApplication);
+    comm_[0]->doorbell_ring().SignalOverflow();
+  }
+  EXPECT_TRUE(engine_[0]->HasWork());
+  EXPECT_TRUE(engine_[0]->Step());
+  EXPECT_EQ(engine_[0]->stats().doorbell_overflows, 1u);
+  EXPECT_EQ(engine_[0]->stats().messages_sent, 2u);
   EXPECT_FALSE(engine_[0]->HasWork());
 }
 
@@ -503,7 +525,6 @@ TEST_F(EngineTest, RecoverFromBufferRebuildsSchedulingState) {
   for (int i = 0; i < 3; ++i) {
     PostRecvBuffer(1, rx);
     QueueSend(0, tx, dst);
-    comm_[0]->doorbell_ring().Ring(tx);
   }
   EXPECT_EQ(comm_[0]->doorbell_ring().PendingCount(), 3u);
 
@@ -514,18 +535,23 @@ TEST_F(EngineTest, RecoverFromBufferRebuildsSchedulingState) {
                                                  options_, &model_);
   engine_[0]->RecoverFromBuffer();
 
-  // Scheduling state was rebuilt: stale doorbells fast-forwarded (the
-  // sweep already rediscovered their work), the one busy endpoint active.
-  EXPECT_EQ(comm_[0]->doorbell_ring().PendingCount(), 0u);
+  // Scheduling state was rebuilt: the one busy endpoint is active, and
+  // the ring was left as it was (no fast-forward).
+  EXPECT_EQ(comm_[0]->doorbell_ring().PendingCount(), 3u);
   EXPECT_EQ(engine_[0]->stats().recoveries, 1u);
   EXPECT_EQ(engine_[0]->stats().recovered_active, 1u);
-  // The recovery sweep is not a backstop sweep: the cause identity holds.
-  EXPECT_EQ(engine_[0]->stats().backstop_sweeps,
-            engine_[0]->stats().doorbell_overflows +
-                engine_[0]->stats().sweeps_periodic +
-                engine_[0]->stats().sweeps_no_candidate);
 
   RunAll();
+
+  // The dead engine's doorbells popped as duplicates of the recovery
+  // sweep. The recovery sweep is not a backstop sweep, and no trigger
+  // fired: the cause identity holds at zero.
+  EXPECT_EQ(comm_[0]->doorbell_ring().PendingCount(), 0u);
+  EXPECT_EQ(engine_[0]->stats().doorbells_consumed, 3u);
+  EXPECT_EQ(engine_[0]->stats().doorbell_dups, 3u);
+  EXPECT_EQ(engine_[0]->stats().backstop_sweeps, 0u);
+  EXPECT_EQ(engine_[0]->stats().backstop_sweeps,
+            engine_[0]->stats().doorbell_overflows + engine_[0]->stats().sweeps_stalled_head);
 
   // Nothing lost: all three messages crossed, and the comm-resident
   // telemetry (which survived the crash, unlike engine stats) agrees.
@@ -916,12 +942,62 @@ TEST(EngineBackPressure, SendHookRunsOnceBeforeTheFrameIsPublished) {
 }
 
 // Step() plans once: an idle Step() runs one outbound plan, where the
-// commit used to plan (and sweep) a second time.
+// commit used to plan a second time, and that plan visits no endpoint.
 TEST_F(EngineTest, IdleStepPlansOnce) {
+  MakeEndpoint(0, EndpointType::kSend);
   const std::uint64_t plans = engine_[0]->stats().outbound_plans;
   EXPECT_FALSE(engine_[0]->Step());
   EXPECT_EQ(engine_[0]->stats().outbound_plans, plans + 1);
-  EXPECT_EQ(engine_[0]->stats().sweeps_no_candidate, 1u);
+  EXPECT_EQ(engine_[0]->stats().endpoints_visited, 0u);
+  EXPECT_EQ(engine_[0]->stats().backstop_sweeps, 0u);
+}
+
+// The planner's cost follows ACTIVE endpoints, not configured ones: with
+// 1024 slots configured and 2 in use, an idle Step() visits no endpoint and
+// a message costs at most 3 visits.
+TEST_F(EngineTest, IdleCostIsIndependentOfConfiguredEndpoints) {
+  shm::CommBufferConfig config;
+  config.message_size = 128;
+  config.buffer_count = 64;
+  config.max_endpoints = 1024;
+  auto comm = CommBuffer::Create(config);
+  ASSERT_TRUE(comm.ok());
+  comm_[0] = std::move(comm).value();
+  RebuildEngines();
+  const std::uint32_t tx_a = MakeEndpoint(0, EndpointType::kSend);
+  const std::uint32_t tx_b = MakeEndpoint(0, EndpointType::kSend);
+  const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
+  const Address dst(1, static_cast<std::uint16_t>(rx));
+
+  EXPECT_FALSE(engine_[0]->Step());
+  EXPECT_EQ(engine_[0]->stats().endpoints_visited, 0u);
+  EXPECT_FALSE(engine_[0]->HasWork());
+
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    PostRecvBuffer(1, rx);
+    PostRecvBuffer(1, rx);
+    const BufferIndex sent_a = QueueSend(0, tx_a, dst);
+    const BufferIndex sent_b = QueueSend(0, tx_b, dst);
+    RunAll();
+    // RunAll ends on an idle Step(): it visits nothing.
+    const std::uint64_t visited = engine_[0]->stats().endpoints_visited;
+    EXPECT_FALSE(engine_[0]->Step());
+    EXPECT_EQ(engine_[0]->stats().endpoints_visited, visited) << "round " << round;
+    // Reclaim and receive, so the queues never fill.
+    EXPECT_EQ(comm_[0]->queue(tx_a).Acquire(), sent_a);
+    EXPECT_EQ(comm_[0]->queue(tx_b).Acquire(), sent_b);
+    ASSERT_TRUE(comm_[0]->FreeBuffer(sent_a).ok());
+    ASSERT_TRUE(comm_[0]->FreeBuffer(sent_b).ok());
+    EXPECT_NE(comm_[1]->queue(rx).Acquire(), waitfree::kInvalidBuffer);
+    EXPECT_NE(comm_[1]->queue(rx).Acquire(), waitfree::kInvalidBuffer);
+  }
+  const EngineStats& stats = engine_[0]->stats();
+  EXPECT_EQ(stats.messages_sent, 2u * kRounds);
+  EXPECT_EQ(engine_[1]->stats().messages_delivered, 2u * kRounds);
+  EXPECT_LE(stats.endpoints_visited, 3u * stats.messages_sent);
+  EXPECT_EQ(stats.backstop_sweeps, 0u);
+  EXPECT_FALSE(engine_[0]->HasWork());
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 // Tests for the future-work extensions the paper names: send-restriction
-// protection, capacity (rate) control, the bulk-transfer library, and the
-// remote-memory-access protocol — plus their coexistence with ordinary
-// FLIPC traffic on one engine.
+// protection, capacity (rate) control and the bulk-transfer library.
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -12,7 +10,6 @@
 #include "src/base/rng.h"
 #include "src/flipc/flipc.h"
 #include "src/flow/bulk_channel.h"
-#include "src/rma/rma_node.h"
 
 namespace flipc {
 namespace {
@@ -290,122 +287,6 @@ TEST(Bulk, RejectsEmptyTransfer) {
   EXPECT_FALSE(pair->sender.Start(nullptr, 100).ok());
   std::byte b{};
   EXPECT_FALSE(pair->sender.Start(&b, 0).ok());
-}
-
-// --------------------------- Remote memory access ----------------------------
-
-struct RmaSetup {
-  std::unique_ptr<SimCluster> cluster;
-  std::unique_ptr<rma::RmaNode> client;  // on node 0
-  std::unique_ptr<rma::RmaNode> owner;   // on node 1
-};
-
-RmaSetup MakeRma() {
-  RmaSetup setup;
-  setup.cluster = TwoNodes();
-  setup.client = std::make_unique<rma::RmaNode>(setup.cluster->engine(0));
-  setup.owner = std::make_unique<rma::RmaNode>(setup.cluster->engine(1));
-  return setup;
-}
-
-TEST(Rma, WriteThenReadRoundTrip) {
-  RmaSetup rma = MakeRma();
-  std::vector<std::byte> region(4096, std::byte{0});
-  auto window = rma.owner->ExportWindow(region.data(), region.size());
-  ASSERT_TRUE(window.ok());
-
-  const std::vector<std::byte> payload = RandomBytes(1024, 99);
-  auto write_token = rma.client->Write(1, *window, 256, payload.data(), payload.size());
-  ASSERT_TRUE(write_token.ok());
-  EXPECT_EQ(rma.client->Poll(*write_token).code(), StatusCode::kUnavailable);
-
-  rma.cluster->driver(0).Kick();
-  rma.cluster->sim().Run();
-  EXPECT_TRUE(rma.client->Poll(*write_token).ok());
-  // The data landed in the owner's memory without the owner application
-  // doing anything (the engine serviced it).
-  EXPECT_EQ(std::memcmp(region.data() + 256, payload.data(), payload.size()), 0);
-
-  std::vector<std::byte> readback(1024);
-  auto read_token = rma.client->Read(1, *window, 256, readback.data(), readback.size());
-  ASSERT_TRUE(read_token.ok());
-  rma.cluster->driver(0).Kick();
-  rma.cluster->sim().Run();
-  ASSERT_TRUE(rma.client->Poll(*read_token).ok());
-  EXPECT_EQ(readback, payload);
-  EXPECT_EQ(rma.owner->stats().writes_served, 1u);
-  EXPECT_EQ(rma.owner->stats().reads_served, 1u);
-}
-
-TEST(Rma, OutOfBoundsRejected) {
-  RmaSetup rma = MakeRma();
-  std::vector<std::byte> region(256);
-  auto window = rma.owner->ExportWindow(region.data(), region.size());
-  ASSERT_TRUE(window.ok());
-
-  std::byte data[64] = {};
-  // Off the end of the window.
-  auto bad_offset = rma.client->Write(1, *window, 240, data, sizeof(data));
-  // Unknown window id.
-  auto bad_window = rma.client->Write(1, *window + 77, 0, data, sizeof(data));
-  ASSERT_TRUE(bad_offset.ok() && bad_window.ok());
-  rma.cluster->driver(0).Kick();
-  rma.cluster->sim().Run();
-
-  EXPECT_EQ(rma.client->Poll(*bad_offset).code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(rma.client->Poll(*bad_window).code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(rma.owner->stats().requests_rejected, 2u);
-  EXPECT_EQ(rma.client->Poll(999).code(), StatusCode::kNotFound);
-}
-
-TEST(Rma, UnexportStopsAccess) {
-  RmaSetup rma = MakeRma();
-  std::vector<std::byte> region(256);
-  auto window = rma.owner->ExportWindow(region.data(), region.size());
-  ASSERT_TRUE(window.ok());
-  ASSERT_TRUE(rma.owner->UnexportWindow(*window).ok());
-  EXPECT_EQ(rma.owner->UnexportWindow(*window).code(), StatusCode::kNotFound);
-
-  std::byte data[16] = {};
-  auto token = rma.client->Write(1, *window, 0, data, sizeof(data));
-  ASSERT_TRUE(token.ok());
-  rma.cluster->driver(0).Kick();
-  rma.cluster->sim().Run();
-  EXPECT_EQ(rma.client->Poll(*token).code(), StatusCode::kPermissionDenied);
-}
-
-TEST(Rma, CoexistsWithFlipcTraffic) {
-  RmaSetup rma = MakeRma();
-  Domain& a = rma.cluster->domain(0);
-  Domain& b = rma.cluster->domain(1);
-
-  // Ordinary FLIPC message...
-  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive});
-  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend});
-  ASSERT_TRUE(rx.ok() && tx.ok());
-  auto rx_buf = b.AllocateBuffer();
-  ASSERT_TRUE(rx->PostBuffer(*rx_buf).ok());
-  auto msg = a.AllocateBuffer();
-  msg->Write("interleaved", 12);
-  ASSERT_TRUE(tx->Send(*msg, rx->address()).ok());
-
-  // ...interleaved with an RMA write through the same engines and wire.
-  std::vector<std::byte> region(512);
-  auto window = rma.owner->ExportWindow(region.data(), region.size());
-  ASSERT_TRUE(window.ok());
-  std::byte data[100];
-  std::memset(data, 0x5a, sizeof(data));
-  auto token = rma.client->Write(1, *window, 0, data, sizeof(data));
-  ASSERT_TRUE(token.ok());
-
-  rma.cluster->driver(0).Kick();
-  rma.cluster->sim().Run();
-
-  auto received = rx->Receive();
-  ASSERT_TRUE(received.ok());
-  EXPECT_STREQ(reinterpret_cast<const char*>(received->data()), "interleaved");
-  EXPECT_TRUE(rma.client->Poll(*token).ok());
-  EXPECT_EQ(static_cast<unsigned char>(region[50]), 0x5a);
 }
 
 }  // namespace

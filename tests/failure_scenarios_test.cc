@@ -253,8 +253,7 @@ TEST(FailureScenarios, KillRestartEngineMidFlood) {
   EXPECT_EQ(stats.recoveries, 1u);
   // The sweep-cause identity survives the recovery sweep (it is not a
   // backstop sweep).
-  EXPECT_EQ(stats.backstop_sweeps,
-            stats.doorbell_overflows + stats.sweeps_periodic + stats.sweeps_no_candidate);
+  EXPECT_EQ(stats.backstop_sweeps, stats.doorbell_overflows + stats.sweeps_stalled_head);
 
   // The telemetry counter identities are comm-buffer resident, so an
   // engine crash must not be able to break them. This is the same audit
@@ -411,8 +410,9 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
 // ---------------------------------------------------------------------------
 // Doorbell-level scenarios: a hand-stepped engine over a raw comm buffer,
 // so the exact interleaving (ring, destroy, step) is deterministic.
-// Doorbells are hints — a stale or misdirected one must be skipped, never
-// misattributed to whatever occupies the slot now.
+// The queue cursors, not the doorbells, are the truth — a stale or
+// misdirected doorbell must be skipped, never misattributed to whatever
+// occupies the slot now.
 class DoorbellScenarioTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -438,8 +438,9 @@ class DoorbellScenarioTest : public ::testing::Test {
     return *index;
   }
 
-  // Queues one ready-to-send buffer directly (engine-side idiom; the test
-  // thread is unbound, so it may touch both sides while stepping manually).
+  // Queues one ready-to-send buffer directly and rings its doorbell, as
+  // the application library does (the test thread is unbound, so it may
+  // touch both sides while stepping manually).
   void QueueSend(std::uint32_t endpoint, Address dst) {
     auto buffer = comm_->AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
@@ -448,6 +449,7 @@ class DoorbellScenarioTest : public ::testing::Test {
     view.header->set_peer_address(dst);
     view.header->state.Store(waitfree::MsgState::kReady);
     ASSERT_TRUE(comm_->queue(endpoint).Release(*buffer));
+    ASSERT_TRUE(comm_->doorbell_ring().Ring(endpoint));
   }
 
   void StepToQuiescence() {

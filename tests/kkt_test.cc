@@ -4,6 +4,7 @@
 // less than a week" story depends on the platform-independent layers not
 // caring which transport runs underneath.
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +133,57 @@ TEST(KktEngine, SlowerThanNativeEngine) {
   ASSERT_TRUE(kkt_result.ok());
 
   EXPECT_GT(kkt_result->one_way_ns.mean(), 1.5 * native_result->one_way_ns.mean());
+}
+
+// Refuses every KKT ack it is asked to send; everything else passes through.
+class AckRefusingWire final : public simnet::Wire {
+ public:
+  explicit AckRefusingWire(simnet::Wire& inner) : inner_(inner) {}
+  Status Send(simnet::Packet packet) override {
+    if (packet.protocol == simnet::kProtocolKkt && packet.kind == kKktResponse) {
+      return UnavailableStatus();
+    }
+    return inner_.Send(std::move(packet));
+  }
+  bool Poll(simnet::Packet* out) override { return inner_.Poll(out); }
+  std::size_t PendingCount() const override { return inner_.PendingCount(); }
+  NodeId node() const override { return inner_.node(); }
+
+ private:
+  simnet::Wire& inner_;
+};
+
+// KKT sends each ack once and has no retry path, so it needs a wire that
+// never refuses. Over one that does, the serving engine aborts with a
+// message instead of leaving the requester blocked for good.
+TEST(KktEngineDeathTest, RefusedAckAbortsWithAMessage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_DEATH(
+      {
+        simnet::Simulator sim;
+        simnet::SimFabric fabric(sim, std::make_unique<simnet::MeshLinkModel>(), 2);
+        AckRefusingWire refusing(fabric.wire(1));
+        shm::CommBufferConfig config;
+        config.message_size = 64;
+        config.buffer_count = 8;
+        config.max_endpoints = 4;
+        auto comm_a = shm::CommBuffer::Create(config);
+        auto comm_b = shm::CommBuffer::Create(config);
+        KktMessagingEngine engine_a(**comm_a, fabric.wire(0), engine::EngineOptions{});
+        KktMessagingEngine engine_b(**comm_b, refusing, engine::EngineOptions{});
+        shm::CommBuffer::EndpointParams params;
+        params.type = shm::EndpointType::kSend;
+        const std::uint32_t tx = *(*comm_a)->AllocateEndpoint(params);
+        const waitfree::BufferIndex buffer = *(*comm_a)->AllocateBuffer();
+        (*comm_a)->msg(buffer).header->set_peer_address(Address(1, 0));
+        (*comm_a)->msg(buffer).header->state.Store(waitfree::MsgState::kReady);
+        (*comm_a)->queue(tx).Release(buffer);
+        (*comm_a)->doorbell_ring().Ring(tx);
+        engine_a.Step();  // The request enters the fabric.
+        sim.Run();
+        engine_b.Step();  // Serves it; the ack is refused.
+      },
+      "FLIPC kkt: the wire refused the ack to node 0");
 }
 
 // Portability: the same application code and communication buffer run over

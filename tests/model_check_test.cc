@@ -14,10 +14,11 @@
 // (tests/generated_model_schedules.h — see tools/flipc_static_audit
 // --emit-schedules): when the wait-free protocol changes, the drift ctest
 // regenerates the seeds rather than this file silently model-checking a
-// stale operation mix. The claim/publish-grain doorbell model and the
-// drop-counter and park/wake tests at the bottom are documented extras:
-// three producers inside Ring(), a counter and a two-word handshake, none
-// of them one of the generated two-sided mixes.
+// stale operation mix. The claim/publish-grain doorbell model, the
+// stalled-producer schedule and the drop-counter and park/wake tests at
+// the bottom are documented extras: three producers inside Ring(), a
+// producer stalled in Ring() against the real planner, a counter and a
+// two-word handshake, none of them one of the generated two-sided mixes.
 #include <algorithm>
 #include <array>
 #include <functional>
@@ -27,10 +28,14 @@
 #include <gtest/gtest.h>
 
 #include "src/base/locks.h"
+#include "src/engine/messaging_engine.h"
+#include "src/shm/comm_buffer.h"
+#include "src/simnet/fabric.h"
 #include "src/waitfree/boundary_check.h"
 #include "src/waitfree/buffer_queue.h"
 #include "src/waitfree/doorbell_ring.h"
 #include "src/waitfree/drop_counter.h"
+#include "src/waitfree/msg_state.h"
 #include "tests/generated_model_schedules.h"
 
 namespace flipc::waitfree {
@@ -258,8 +263,8 @@ class DoorbellModel {
     }
   }
 
-  // Engine op: the overflow half of the backstop — acknowledge, then (in
-  // the real engine) sweep. The sweep itself touches only engine-read
+  // Engine op: the overflow sweep trigger — acknowledge, then (in the real
+  // engine) sweep. The sweep itself touches only engine-read
   // state, so acknowledging models the ring-side effect completely.
   void EngineAckOverflow() {
     if (ring_->view().OverflowPending()) {
@@ -352,16 +357,14 @@ TEST(ModelCheck, DoorbellOverflowAckInterleavings) {
 // ---- Doorbell ring at the claim/publish grain ------------------------------
 //
 // Hand-written extra. The generated doorbell models interleave whole Ring()
-// calls, so the soft-full check is exact there. Here Ring() runs as its
-// three steps (CheckRoom, ClaimSlot, PublishSlot) and producers interleave
-// between them, which lets a claim overshoot the check. Three producers
-// ring once each on a capacity-2 ring while the engine pops twice. Fewer
-// producers cannot wedge the ring: that takes one producer delayed between
-// its claim and its publish, a second whose claim lands a full lap ahead of
-// the first, and a third whose claim falls between the second's check and
-// claim. Lost doorbells are legal here (the backstop sweep covers them);
-// invented or repeated ones, and a ring that stays full with nothing to
-// pop, are not.
+// calls. Here Ring() runs as its two steps (ClaimSlot, PublishSlot) and
+// producers interleave between them: a producer can hold a claimed,
+// unpublished slot while later claims publish, and claims race the
+// consumer for the last free slot. Three producers ring once each on a
+// capacity-2 ring while the engine pops twice. The ring must be exact in
+// every schedule: every successful claim is popped exactly once, in claim
+// order, nothing unclaimed is popped, and every refused claim leaves the
+// overflow signal pending.
 class DoorbellClaimGrainModel {
  public:
   static constexpr std::uint32_t kCapacity = 2;
@@ -369,23 +372,25 @@ class DoorbellClaimGrainModel {
 
   void Reset() {
     ring_ = std::make_unique<InlineDoorbellRing<kCapacity>>();
-    room_.fill(false);
+    claimed_.fill(false);
     pos_.fill(0);
-    published_.clear();
-    popped_.clear();
+    claim_order_.clear();
+    popped_ = 0;
+    refused_ = false;
   }
 
-  // Producer p's three steps; producer p rings value p.
-  void Check(std::uint32_t p) { room_[p] = ring_->view().CheckRoom(); }
+  // Producer p's two steps; producer p rings value p.
   void Claim(std::uint32_t p) {
-    if (room_[p]) {
-      pos_[p] = ring_->view().ClaimSlot();
+    claimed_[p] = ring_->view().ClaimSlot(&pos_[p]);
+    if (claimed_[p]) {
+      claim_order_.push_back(p);
+    } else {
+      refused_ = true;
     }
   }
   void Publish(std::uint32_t p) {
-    if (room_[p]) {
+    if (claimed_[p]) {
       ring_->view().PublishSlot(pos_[p], p);
-      published_.push_back(p);
     }
   }
 
@@ -394,45 +399,46 @@ class DoorbellClaimGrainModel {
     if (value == kInvalidDoorbell) {
       return;
     }
-    ASSERT_NE(std::find(published_.begin(), published_.end(), value), published_.end())
-        << "popped unpublished doorbell " << value << " in " << schedule;
-    ASSERT_EQ(std::find(popped_.begin(), popped_.end(), value), popped_.end())
-        << "popped doorbell " << value << " twice in " << schedule;
-    popped_.push_back(value);
+    ASSERT_LT(popped_, claim_order_.size()) << "popped unclaimed doorbell in " << schedule;
+    ASSERT_EQ(value, claim_order_[popped_])
+        << "pop " << popped_ << " out of claim order in " << schedule;
+    ++popped_;
   }
 
-  // Runs once every producer has published. Rings fresh values until one
-  // is refused; popping must then bring the ring below full. A wedged ring
-  // holds an older lap's tag at its head: Pop() finds nothing, the ring
-  // stays full, and every later Ring() is refused.
-  void CheckLive(const std::string& schedule) {
-    {
-      ScopedBoundaryRole role(Writer::kApplication);
-      std::uint32_t value = 100;
-      for (std::uint32_t i = 0; i <= kCapacity && ring_->view().Ring(value); ++i) {
-        published_.push_back(value++);
-      }
-    }
-    ASSERT_GE(ring_->view().PendingCount(), kCapacity) << schedule;
+  void CheckInvariants(const std::string& schedule) {
+    ASSERT_EQ(ring_->view().PendingCount(), claim_order_.size() - popped_) << schedule;
+    ASSERT_LE(ring_->view().PendingCount(), kCapacity) << schedule;
+    // Nothing acknowledges the signal here, so it stays raised.
+    ASSERT_EQ(ring_->view().OverflowPending(), refused_) << schedule;
+  }
+
+  // Runs once every producer has published: the claims not yet popped pop
+  // now, in claim order, and the ring then reads empty and accepts rings
+  // up to its capacity again.
+  void CheckDrained(const std::string& schedule) {
     {
       ScopedBoundaryRole role(Writer::kEngine);
-      // Overshoot can leave more than a lap claimed; each pop consumes or
-      // skips at most one position.
-      for (std::uint32_t i = 0;
-           i < kCapacity + kProducers && ring_->view().PendingCount() >= kCapacity; ++i) {
+      for (std::uint32_t i = 0; i < kCapacity + 1; ++i) {
         EnginePop(schedule);
       }
     }
-    ASSERT_LT(ring_->view().PendingCount(), kCapacity)
-        << "doorbell ring wedged full in schedule " << schedule;
+    ASSERT_EQ(popped_, claim_order_.size()) << "claimed doorbell never popped in " << schedule;
+    ASSERT_EQ(ring_->view().PendingCount(), 0u) << schedule;
+    ASSERT_FALSE(ring_->view().HasPending()) << schedule;
+    ASSERT_FALSE(ring_->view().HeadStalled()) << schedule;
+    ScopedBoundaryRole role(Writer::kApplication);
+    for (std::uint32_t i = 0; i < kCapacity; ++i) {
+      ASSERT_TRUE(ring_->view().Ring(100 + i)) << "ring refused below full in " << schedule;
+    }
   }
 
  private:
   std::unique_ptr<InlineDoorbellRing<kCapacity>> ring_;
-  std::array<bool, kProducers> room_{};
+  std::array<bool, kProducers> claimed_{};
   std::array<std::uint32_t, kProducers> pos_{};
-  std::vector<std::uint32_t> published_;
-  std::vector<std::uint32_t> popped_;
+  std::vector<std::uint32_t> claim_order_;
+  std::size_t popped_ = 0;
+  bool refused_ = false;
 };
 
 TEST(ModelCheck, DoorbellClaimPublishGrainNeverWedges) {
@@ -443,8 +449,7 @@ TEST(ModelCheck, DoorbellClaimPublishGrainNeverWedges) {
   for (std::uint32_t p = 0; p < DoorbellClaimGrainModel::kProducers; ++p) {
     sides.push_back({Writer::kApplication,
                      static_cast<char>('0' + p),
-                     {[&model, p] { model.Check(p); }, [&model, p] { model.Claim(p); },
-                      [&model, p] { model.Publish(p); }}});
+                     {[&model, p] { model.Claim(p); }, [&model, p] { model.Publish(p); }}});
   }
   sides.push_back({Writer::kEngine,
                    'e',
@@ -460,13 +465,118 @@ TEST(ModelCheck, DoorbellClaimPublishGrainNeverWedges) {
       sides,
       [&](const std::string& schedule) {
         current_schedule = schedule;
+        model.CheckInvariants(schedule);
         if (schedule.size() == total) {
-          model.CheckLive(schedule);
+          model.CheckDrained(schedule);
           ++schedules;
         }
       },
       [&] { model.Reset(); });
-  EXPECT_EQ(schedules, 92400);  // 11! / (3! 3! 3! 2!)
+  EXPECT_EQ(schedules, 2520);  // 8! / (2! 2! 2! 2!)
+}
+
+// ---- A producer stalled between claim and publish -------------------------
+//
+// Hand-written extra, with the real planner. Producer 0 releases a send
+// and claims a doorbell slot, then stalls before publishing it: the ring's
+// head position holds a claimed, unpublished slot for the rest of the run.
+// Producer 1 releases, claims and publishes behind it; the engine steps
+// once anywhere in between. In every schedule the engine must then report
+// work and send both messages: its doorbell path cannot reach producer 1's
+// doorbell, so it has to sweep (trigger (b) in
+// MessagingEngine::PlanOutboundBatch) — and after that sweep it must not
+// keep sweeping for the same claims.
+class StalledProducerModel {
+ public:
+  void Reset() {
+    shm::CommBufferConfig config;
+    config.message_size = 64;
+    config.buffer_count = 8;
+    config.max_endpoints = 4;
+    auto comm = shm::CommBuffer::Create(config);
+    ASSERT_TRUE(comm.ok());
+    engine_.reset();
+    comm_ = std::move(comm).value();
+    fabric_ = std::make_unique<simnet::ThreadFabric>(2);
+    engine_ = std::make_unique<engine::MessagingEngine>(*comm_, fabric_->wire(0),
+                                                        engine::EngineOptions{});
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      shm::CommBuffer::EndpointParams params;
+      params.type = shm::EndpointType::kSend;
+      params.queue_capacity = 2;
+      auto index = comm_->AllocateEndpoint(params);
+      ASSERT_TRUE(index.ok());
+      endpoint_[p] = *index;
+    }
+  }
+
+  void Release(std::uint32_t p) {
+    auto buffer = comm_->AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    shm::MsgView view = comm_->msg(*buffer);
+    view.header->set_peer_address(Address(1, 0));
+    view.header->state.Store(MsgState::kReady);
+    ASSERT_TRUE(comm_->queue(endpoint_[p]).Release(*buffer));
+  }
+  void Claim(std::uint32_t p) { ASSERT_TRUE(comm_->doorbell_ring().ClaimSlot(&pos_[p])); }
+  void Publish(std::uint32_t p) { comm_->doorbell_ring().PublishSlot(pos_[p], endpoint_[p]); }
+  void EngineStep() { engine_->Step(); }
+
+  void CheckBothSent(const std::string& schedule) {
+    ScopedBoundaryRole role(Writer::kEngine);
+    for (int step = 0; step < 4 && (Unsent() > 0 || engine_->HasWork()); ++step) {
+      ASSERT_TRUE(engine_->HasWork()) << Unsent() << " unsent, engine idle in " << schedule;
+      engine_->Step();
+    }
+    ASSERT_EQ(Unsent(), 0u) << "send stranded behind the stalled head in " << schedule;
+    ASSERT_TRUE(comm_->doorbell_ring().HeadStalled()) << schedule;
+    const engine::EngineStats& stats = engine_->stats();
+    ASSERT_EQ(stats.messages_sent, 2u) << schedule;
+    ASSERT_EQ(stats.backstop_sweeps, stats.doorbell_overflows + stats.sweeps_stalled_head)
+        << schedule;
+    ASSERT_GE(stats.sweeps_stalled_head, 1u) << schedule;
+    ASSERT_FALSE(engine_->HasWork()) << "engine keeps sweeping for swept claims in " << schedule;
+    const std::uint64_t sweeps = stats.backstop_sweeps;
+    ASSERT_FALSE(engine_->Step()) << schedule;
+    ASSERT_EQ(stats.backstop_sweeps, sweeps) << schedule;
+  }
+
+ private:
+  std::uint32_t Unsent() const {
+    std::uint32_t unsent = 0;
+    for (const std::uint32_t endpoint : endpoint_) {
+      unsent += comm_->queue(endpoint).ProcessableCount();
+    }
+    return unsent;
+  }
+
+  std::unique_ptr<shm::CommBuffer> comm_;
+  std::unique_ptr<simnet::ThreadFabric> fabric_;
+  std::unique_ptr<engine::MessagingEngine> engine_;
+  std::array<std::uint32_t, 2> endpoint_{};
+  std::array<std::uint32_t, 2> pos_{};
+};
+
+TEST(ModelCheck, StalledProducerDoesNotHoldBackLaterDoorbells) {
+  StalledProducerModel model;
+  std::vector<Side> sides = {
+      {Writer::kApplication, '0', {[&] { model.Release(0); }, [&] { model.Claim(0); }}},
+      {Writer::kApplication,
+       '1',
+       {[&] { model.Release(1); }, [&] { model.Claim(1); }, [&] { model.Publish(1); }}},
+      {Writer::kEngine, 'e', {[&] { model.EngineStep(); }}},
+  };
+  int schedules = 0;
+  ForAllInterleavings(
+      sides,
+      [&](const std::string& schedule) {
+        if (schedule.size() == 6) {
+          model.CheckBothSent(schedule);
+          ++schedules;
+        }
+      },
+      [&] { model.Reset(); });
+  EXPECT_EQ(schedules, 60);  // 6! / (2! 3! 1!)
 }
 
 // ---- Drop counter: engine drops vs application read-and-reset --------------

@@ -69,7 +69,8 @@ TEST(Robustness, GarbageBufferIndicesInQueueCells) {
   auto cluster = TwoNodes();
   VictimFlow victim = VictimFlow::Make(*cluster);
 
-  // Attacker: a send endpoint whose queue cells are filled with garbage.
+  // Attacker: a send endpoint whose queue cells are filled with garbage,
+  // each release announced by a doorbell as the library rings it.
   auto attacker = cluster->domain(0).CreateEndpoint(
       {.type = shm::EndpointType::kSend, .queue_depth = 16});
   ASSERT_TRUE(attacker.ok());
@@ -77,6 +78,7 @@ TEST(Robustness, GarbageBufferIndicesInQueueCells) {
   waitfree::BufferQueueView queue = cluster->domain(0).comm().queue(attacker->index());
   for (int i = 0; i < 16; ++i) {
     queue.Release(static_cast<waitfree::BufferIndex>(rng()));
+    cluster->domain(0).comm().doorbell_ring().Ring(attacker->index());
   }
   cluster->domain(0).KickEngine();
   cluster->sim().Run();
@@ -99,12 +101,13 @@ TEST(Robustness, CorruptDestinationAddresses) {
     auto buffer = cluster->domain(0).AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
     // Random (mostly bogus) destinations, written directly to the header
-    // as a malicious library replacement would.
+    // as a malicious library replacement would; it still rings.
     const Address dst = Address::FromPacked(static_cast<std::uint32_t>(rng()));
     cluster->domain(0).comm().msg(buffer->index()).header->set_peer_address(dst);
     cluster->domain(0).comm().msg(buffer->index()).header->state.Store(
         waitfree::MsgState::kReady);
     ASSERT_TRUE(cluster->domain(0).comm().queue(attacker->index()).Release(buffer->index()));
+    cluster->domain(0).comm().doorbell_ring().Ring(attacker->index());
   }
   cluster->domain(0).KickEngine();
   cluster->sim().Run();
@@ -163,6 +166,9 @@ TEST(Robustness, RandomizedCorruptionFuzz) {
           break;
         }
       }
+      // Every corruption is announced the way the library announces a
+      // release; work the engine is never told about is not its problem.
+      comm.doorbell_ring().Ring(attacker->index());
     }
     cluster->domain(0).KickEngine();
     // Bounded run: a wedged engine would loop forever re-planning; the

@@ -166,10 +166,10 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
   Mismatch engine_mismatch;
 
   // Engine thread: pop every successfully-rung doorbell, checking FIFO (the
-  // app never overshoots the soft-full check here — single producer — so no
-  // doorbell may be lost, duplicated, or reordered). Overflow refusals are
-  // acknowledged the way the engine's backstop does; the refused doorbell
-  // itself was never published, the application below retries it.
+  // ring is exact, so no doorbell may be lost, duplicated, or reordered).
+  // Overflow refusals are acknowledged the way the engine's sweep does; the
+  // refused doorbell itself was never published, the application below
+  // retries it.
   std::thread engine([&] {
     BoundaryRole::BindCurrentThread(Writer::kEngine);
     test_util::PollBackoff backoff;
@@ -205,6 +205,72 @@ TEST(SanitizerStress, DoorbellRingAppVsEngineThreads) {
     backoff.Reset();
   }
   BoundaryRole::UnbindCurrentThread();
+  engine.join();
+
+  ASSERT_TRUE(InOrder(engine_mismatch, "engine (popping doorbells)"));
+  EXPECT_EQ(ring.view().PendingCount(), 0u);
+  EXPECT_FALSE(ring.view().HasPending());
+}
+
+// Several application threads ring one ring while the engine pops: the
+// ring stays exact under real claim races. Every successful Ring() is
+// popped exactly once, and each producer's doorbells pop in its own ring
+// order (claim order restricted to one producer).
+TEST(SanitizerStress, DoorbellRingProducersVsEngineThread) {
+  constexpr std::uint32_t kCapacity = 8;
+  constexpr std::uint32_t kProducers = 3;
+  constexpr std::uint32_t kPerProducer = kQueueMessages / 10;
+  InlineDoorbellRing<kCapacity> ring;
+  std::atomic<bool> stop{false};
+  Mismatch engine_mismatch;
+
+  std::thread engine([&] {
+    BoundaryRole::BindCurrentThread(Writer::kEngine);
+    test_util::PollBackoff backoff;
+    std::uint32_t next[kProducers] = {};
+    std::uint32_t popped = 0;
+    while (popped < kProducers * kPerProducer && !stop.load(std::memory_order_acquire)) {
+      if (ring.view().OverflowPending()) {
+        ring.view().AckOverflow();
+      }
+      const std::uint32_t value = ring.view().Pop();
+      if (value == kInvalidDoorbell) {
+        backoff.Idle();
+        continue;
+      }
+      backoff.Reset();
+      const std::uint32_t producer = value / kPerProducer;
+      const std::uint32_t want = producer < kProducers ? producer * kPerProducer + next[producer]
+                                                       : 0;
+      if (producer >= kProducers || value != want) {
+        engine_mismatch.Record(want, value, stop);
+        break;
+      }
+      ++next[producer];
+      ++popped;
+    }
+    BoundaryRole::UnbindCurrentThread();
+  });
+
+  // Producer p rings p * kPerProducer + i in order, retrying refusals.
+  std::vector<std::thread> producers;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      BoundaryRole::BindCurrentThread(Writer::kApplication);
+      test_util::PollBackoff backoff;
+      for (std::uint32_t i = 0; i < kPerProducer && !stop.load(std::memory_order_acquire); ++i) {
+        while (!ring.view().Ring(p * kPerProducer + i) &&
+               !stop.load(std::memory_order_acquire)) {
+          backoff.Idle();
+        }
+        backoff.Reset();
+      }
+      BoundaryRole::UnbindCurrentThread();
+    });
+  }
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
   engine.join();
 
   ASSERT_TRUE(InOrder(engine_mismatch, "engine (popping doorbells)"));

@@ -88,6 +88,10 @@ TEST(PosixCommBuffer, ChildProcessSendsThroughSharedRegion) {
     if (!(*child_comm)->queue(*endpoint).Release(*buffer)) {
       ::_exit(13);
     }
+    // Announce the send as the library does.
+    if (!(*child_comm)->doorbell_ring().Ring(*endpoint)) {
+      ::_exit(14);
+    }
     ::_exit(0);
   }
 
@@ -96,7 +100,9 @@ TEST(PosixCommBuffer, ChildProcessSendsThroughSharedRegion) {
   ASSERT_TRUE(WIFEXITED(wstatus));
   ASSERT_EQ(WEXITSTATUS(wstatus), 0);
 
-  // Parent: the release is visible; play the engine role and process it.
+  // Parent: the doorbell and the release are visible; play the engine
+  // role and process it.
+  EXPECT_EQ((*comm)->doorbell_ring().Pop(), *endpoint);
   waitfree::BufferQueueView queue = (*comm)->queue(*endpoint);
   const waitfree::BufferIndex buffer = queue.PeekProcess();
   ASSERT_NE(buffer, waitfree::kInvalidBuffer);

@@ -1,15 +1,13 @@
-// Tests for the simulated-OS layer: real-time semaphore (priority wakeup),
-// semaphore table, and the priority scheduler model.
+// Tests for the simulated-OS layer: real-time semaphore (priority wakeup)
+// and the semaphore table.
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/simnet/des.h"
 #include "src/simos/real_time_semaphore.h"
 #include "src/simos/semaphore_table.h"
-#include "src/simos/sim_scheduler.h"
 
 namespace flipc::simos {
 namespace {
@@ -148,66 +146,6 @@ TEST(SemaphoreTable, FreeRejectsBusySemaphore) {
   table.Signal(*id);
   waiter.join();
   EXPECT_TRUE(table.Free(*id).ok());
-}
-
-// -------------------------------- SimScheduler -------------------------------
-
-TEST(SimScheduler, RunsByPriorityNotArrival) {
-  simnet::Simulator sim;
-  SimScheduler scheduler(sim);
-  scheduler.set_dispatch_cost_ns(0);
-  std::vector<int> order;
-
-  // First item starts immediately (CPU idle); the rest queue while it runs.
-  scheduler.Submit(0, 1000, [&] { order.push_back(0); });
-  scheduler.Submit(1, 1000, [&] { order.push_back(1); });
-  scheduler.Submit(9, 1000, [&] { order.push_back(9); });
-  scheduler.Submit(5, 1000, [&] { order.push_back(5); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 9, 5, 1}));
-}
-
-TEST(SimScheduler, FifoWithinEqualPriority) {
-  simnet::Simulator sim;
-  SimScheduler scheduler(sim);
-  scheduler.set_dispatch_cost_ns(0);
-  std::vector<int> order;
-  scheduler.Submit(3, 100, [&] { order.push_back(0); });
-  scheduler.Submit(3, 100, [&] { order.push_back(1); });
-  scheduler.Submit(3, 100, [&] { order.push_back(2); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(SimScheduler, AccountsBusyTime) {
-  simnet::Simulator sim;
-  SimScheduler scheduler(sim);
-  scheduler.set_dispatch_cost_ns(500);
-  scheduler.Submit(0, 1000, [] {});
-  scheduler.Submit(0, 2000, [] {});
-  sim.Run();
-  EXPECT_EQ(scheduler.busy_ns(), 1000 + 2000 + 2 * 500);
-  EXPECT_TRUE(scheduler.idle());
-  EXPECT_EQ(sim.Now(), 4000);
-}
-
-TEST(SimScheduler, NonPreemptive) {
-  simnet::Simulator sim;
-  SimScheduler scheduler(sim);
-  scheduler.set_dispatch_cost_ns(0);
-  std::vector<std::pair<int, TimeNs>> completions;
-
-  scheduler.Submit(1, 10'000, [&] { completions.push_back({1, sim.Now()}); });
-  // A high-priority item arriving mid-run must wait for the running item.
-  sim.ScheduleAt(2'000, [&] {
-    scheduler.Submit(99, 1'000, [&] { completions.push_back({99, sim.Now()}); });
-  });
-  sim.Run();
-  ASSERT_EQ(completions.size(), 2u);
-  EXPECT_EQ(completions[0].first, 1);
-  EXPECT_EQ(completions[0].second, 10'000);
-  EXPECT_EQ(completions[1].first, 99);
-  EXPECT_EQ(completions[1].second, 11'000);
 }
 
 }  // namespace

@@ -120,8 +120,8 @@ TEST(Telemetry, QueueDepthHighWaterTracksBacklog) {
   EXPECT_EQ(a.comm().telemetry(tx->index()).queue_depth_high_water.Read(), 3u);
 }
 
-// The engine's sweep-cause accounting: the three causes partition
-// backstop_sweeps exactly (messaging_engine.h).
+// The engine's sweep-cause accounting: the two ring-signalled causes
+// partition backstop_sweeps exactly (messaging_engine.h).
 TEST(Telemetry, SweepCausesPartitionBackstopSweeps) {
   auto cluster = TwoNodes();
   Domain& a = cluster->domain(0);
@@ -140,8 +140,7 @@ TEST(Telemetry, SweepCausesPartitionBackstopSweeps) {
   }
   for (int node = 0; node < 2; ++node) {
     const engine::EngineStats& stats = cluster->engine(node).stats();
-    EXPECT_EQ(stats.backstop_sweeps, stats.doorbell_overflows + stats.sweeps_periodic +
-                                         stats.sweeps_no_candidate)
+    EXPECT_EQ(stats.backstop_sweeps, stats.doorbell_overflows + stats.sweeps_stalled_head)
         << "node " << node;
   }
   EXPECT_GT(cluster->engine(0).stats().outbound_plans, 0u);
@@ -178,10 +177,10 @@ TEST(Telemetry, EngineHistogramsRecordCommittedWork) {
 
 // The telemetry table is part of the shared-memory ABI: introduced in
 // version 3 (version 5 added the QoS planner cells and counters; versions
-// 4, 6 and 7 changed other parts of the layout without moving it), one
+// 4, 6, 7 and 8 changed other parts of the layout without moving it), one
 // cache-line-aligned block per endpoint slot, visible through Attach.
 TEST(Telemetry, CommBufferTelemetryAbi) {
-  static_assert(shm::kCommBufferVersion == 7);
+  static_assert(shm::kCommBufferVersion == 8);
   static_assert(sizeof(shm::TelemetryBlock) == 2 * kCacheLineSize);
   static_assert(alignof(shm::TelemetryBlock) == kCacheLineSize);
 

@@ -400,6 +400,34 @@ TEST(DoorbellRing, FullRingAcrossPositionWrap) {
   EXPECT_EQ(view.Pop(), kInvalidDoorbell);
 }
 
+// A claim whose producer has not published holds the head across the wrap:
+// later doorbells wait behind it (HeadStalled), none is skipped or popped
+// early, and all pop in claim order once it publishes. A full ring refuses
+// the next claim rather than overwrite the stalled slot.
+TEST(DoorbellRing, StalledClaimAcrossPositionWrap) {
+  WarmDoorbellRing ring(0u - 1);
+  DoorbellRingView& view = ring.view;
+  std::uint32_t stalled = 0;
+  ASSERT_TRUE(view.ClaimSlot(&stalled));
+  EXPECT_EQ(stalled, 0u - 1);
+  for (std::uint32_t i = 1; i < WarmDoorbellRing::kCapacity; ++i) {
+    ASSERT_TRUE(view.Ring(i));
+  }
+  EXPECT_TRUE(view.HeadStalled());
+  EXPECT_FALSE(view.HasPending());
+  EXPECT_EQ(view.Pop(), kInvalidDoorbell);
+  EXPECT_FALSE(view.Ring(99));
+  EXPECT_TRUE(view.OverflowPending());
+  view.PublishSlot(stalled, 0);
+  EXPECT_FALSE(view.HeadStalled());
+  for (std::uint32_t i = 0; i < WarmDoorbellRing::kCapacity; ++i) {
+    ASSERT_EQ(view.Pop(), i);
+  }
+  EXPECT_EQ(view.Pop(), kInvalidDoorbell);
+  EXPECT_FALSE(view.HeadStalled());
+  EXPECT_EQ(ring.cursors.ring_head.Read(), WarmDoorbellRing::kCapacity - 1);
+}
+
 // ------------------------------- SpscFrameRing ------------------------------
 
 // FIFO across many laps, with the ring refusing (not overwriting) a frame

@@ -35,8 +35,6 @@ const char* KindName(FieldOrderKind k) {
   switch (k) {
     case FieldOrderKind::kCursor:
       return "cursor";
-    case FieldOrderKind::kHintCursor:
-      return "hint_cursor";
     case FieldOrderKind::kFlag:
       return "flag";
     case FieldOrderKind::kCounter:
